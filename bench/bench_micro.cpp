@@ -15,11 +15,9 @@
 #include "concurrency/ws_deque.hpp"
 #include "core/dispatch.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 #include "event/value.hpp"
 #include "graph/generators.hpp"
 #include "graph/numbering.hpp"
-#include "graph/partition.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -258,66 +256,6 @@ BENCHMARK(BM_scheduler_pair_bookkeeping_staged_batch)
     ->Arg(8)
     ->Arg(64)
     ->Arg(512);
-
-/// The sharded scheduler's two-stage drain on the same chain workload:
-/// apply_finish_batch flips bits under per-shard locks, collect composes
-/// the frontier and issues ready pairs. Args are {chain_n, shards}; the
-/// shard count therefore appears in every emitted JSON row name. This is
-/// single-threaded scheduler cost only — sharding buys lock parallelism
-/// at engine level (bench_pipeline --shards), so the interesting number
-/// here is the sharding overhead vs the staged_batch rows above.
-void BM_scheduler_pair_bookkeeping_sharded(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t kWindow = 16;
-  const graph::Dag dag = graph::chain(n);
-  const graph::Numbering numbering =
-      graph::compute_satisfactory_numbering(dag);
-  std::uint64_t pairs = 0;
-  core::ShardedScheduler scheduler(
-      numbering.m,
-      graph::make_shard_map(graph::partition_balanced(numbering, shards)),
-      kWindow);
-  scheduler.reserve_steady_state(kWindow * 2);
-  std::vector<event::InputBundle> bundles(1);
-  std::vector<core::Scheduler::ReadyPair> queue;
-  std::vector<core::Scheduler::ReadyPair> ready;
-  std::vector<core::Scheduler::StagedFinish> batch;
-  event::PhaseId phase = 0;
-  for (auto _ : state) {
-    while (scheduler.active_phase_count() < kWindow) {
-      bundles.assign(1, event::InputBundle{});
-      scheduler.start_phase(++phase, std::span(bundles), queue);
-    }
-    batch.clear();
-    for (auto& pair : queue) {
-      core::Scheduler::StagedFinish staged;
-      staged.vertex = pair.vertex;
-      staged.phase = pair.phase;
-      if (pair.vertex < n) {
-        staged.deliveries.push_back(core::Scheduler::Delivery{
-            pair.vertex + 1, 0, event::Value(1.0)});
-      }
-      staged.recycled = std::move(pair.bundle);
-      batch.push_back(std::move(staged));
-    }
-    pairs += batch.size();
-    queue.clear();
-    ready.clear();
-    scheduler.apply_finish_batch(std::span(batch));
-    scheduler.collect(ready);
-    for (auto& r : ready) {
-      queue.push_back(std::move(r));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(pairs));
-}
-BENCHMARK(BM_scheduler_pair_bookkeeping_sharded)
-    ->Args({64, 1})
-    ->Args({64, 4})
-    ->Args({512, 1})
-    ->Args({512, 4})
-    ->Args({512, 8});
 
 void BM_rng_next_normal(benchmark::State& state) {
   support::Rng rng(1);

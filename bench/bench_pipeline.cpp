@@ -26,9 +26,6 @@ int main(int argc, char** argv) {
   // staged=0 forces the PR 1 lock-per-pair path; 1 (default) stages
   // finished pairs in per-worker rings and applies them in batches.
   const bool staged = flags.get("staged", std::uint64_t{1}) != 0;
-  // shards=1 (default) runs the flat scheduler; >1 opts in to the
-  // partition-aligned sharded scheduler with the apply/collect drain.
-  const std::size_t shards = flags.get("shards", std::uint64_t{1});
   // dispatch=central (default) routes ready pairs through the shared
   // blocking queue; dispatch=steal through per-worker deques (PR 9).
   const std::string dispatch_name =
@@ -59,7 +56,6 @@ int main(int argc, char** argv) {
     options.max_inflight_phases = window;
     options.sample_inflight = true;
     options.staged_deliveries = staged;
-    options.scheduler_shards = shards;
     options.dispatch = dispatch;
     core::Engine engine(program, options);
     engine.run(phases, nullptr);
@@ -77,7 +73,6 @@ int main(int argc, char** argv) {
         .config("grain_ns", grain_ns)
         .config("threads", static_cast<std::uint64_t>(threads))
         .config("staged", static_cast<std::uint64_t>(staged ? 1 : 0))
-        .config("shards", static_cast<std::uint64_t>(shards))
         .config("dispatch", dispatch_name)
         .config("hw_concurrency",
                 static_cast<std::uint64_t>(
@@ -108,7 +103,6 @@ int main(int argc, char** argv) {
       .config("phases", phases)
       .config("grain_ns", grain_ns)
       .config("threads", static_cast<std::uint64_t>(threads))
-      .config("shards", static_cast<std::uint64_t>(shards))
       .config("dispatch", dispatch_name)
       .config("hw_concurrency",
               static_cast<std::uint64_t>(
@@ -130,7 +124,6 @@ int main(int argc, char** argv) {
   depth5.threads = threads;
   depth5.max_inflight_phases = 5;
   depth5.staged_deliveries = staged;
-  depth5.scheduler_shards = shards;
   depth5.dispatch = dispatch;
   depth5.sample_inflight = true;
   core::Engine engine5(program, depth5);

@@ -14,8 +14,8 @@
 // the `transport` label, so every CI configuration (including TSan)
 // executes real socket traffic.
 //
-// --engine-threads=K and --shards=K configure the per-block engines (two-
-// level parallelism: machines x engine_threads workers in total); both are
+// --engine-threads=K configures the per-block engines (two-level
+// parallelism: machines x engine_threads workers in total); it is
 // recorded in every JSON row alongside hw_concurrency so a single-core CI
 // box's rows are not mistaken for a multicore measurement.
 #include <cstdio>
@@ -42,12 +42,11 @@ int main(int argc, char** argv) {
   const std::uint64_t width = flags.get("width", std::uint64_t{4});
   const std::size_t engine_threads =
       flags.get("engine-threads", std::uint64_t{1});
-  const std::size_t shards = flags.get("shards", std::uint64_t{1});
-  if (engine_threads == 0 || shards == 0) {
-    std::printf("--engine-threads and --shards must be >= 1\n");
+  if (engine_threads == 0) {
+    std::printf("--engine-threads must be >= 1\n");
     return 2;
   }
-  // Third axis of the per-block engine knob matrix: ready-pair dispatch.
+  // Second axis of the per-block engine knob matrix: ready-pair dispatch.
   const std::string dispatch_name =
       flags.get("dispatch", std::string{"central"});
   if (dispatch_name != "central" && dispatch_name != "steal") {
@@ -64,11 +63,6 @@ int main(int argc, char** argv) {
   // is a column, not a separate benchmark.
   const std::size_t checkpoint_every =
       flags.get("checkpoint-every", std::uint64_t{0});
-  if (checkpoint_every > 0 && shards > 1) {
-    std::printf("--checkpoint-every requires --shards=1 "
-                "(snapshots need the flat scheduler)\n");
-    return 2;
-  }
   const std::uint64_t hw_concurrency =
       static_cast<std::uint64_t>(std::thread::hardware_concurrency());
 
@@ -108,7 +102,6 @@ int main(int argc, char** argv) {
       options.machines = machines;
       options.channel = kind;
       options.engine_threads = engine_threads;
-      options.scheduler_shards = shards;
       options.dispatch = dispatch;
       options.checkpoint_every = checkpoint_every;
       distrib::TransportEngine transport(program, options);
@@ -139,7 +132,6 @@ int main(int argc, char** argv) {
                                   program.numbering.size()))
           .config("engine_threads",
                   static_cast<std::uint64_t>(engine_threads))
-          .config("shards", static_cast<std::uint64_t>(shards))
           .config("dispatch", dispatch_name)
           .config("checkpoint_every",
                   static_cast<std::uint64_t>(checkpoint_every))

@@ -4,14 +4,13 @@
 //
 // Usage:
 //   run_spec <spec.xml> [--executor=engine|sequential|lockstep|eager|
-//            transport] [--phases=N] [--threads=K] [--shards=K]
+//            transport] [--phases=N] [--threads=K]
 //            [--dispatch=central|steal] [--machines=K]
 //            [--channel=inproc|socket] [--verify] [--events=file.csv]
 //
-// --threads and --shards configure the worker pool: for --executor=engine
-// the single engine's thread count and scheduler shards, for
-// --executor=transport the per-partition engines' (two-level parallelism:
-// machines x threads workers in total).
+// --threads configures the worker pool: for --executor=engine the single
+// engine's thread count, for --executor=transport the per-partition
+// engines' (two-level parallelism: machines x threads workers in total).
 //
 // With --verify, the run is repeated on the sequential reference and the
 // sink streams are compared (serializability check). With --events, the
@@ -39,7 +38,7 @@ int main(int argc, char** argv) {
   if (flags.positional().empty()) {
     std::printf("usage: run_spec <spec.xml> [--executor=engine|sequential|"
                 "lockstep|eager|transport] [--phases=N] [--threads=K] "
-                "[--shards=K] [--dispatch=central|steal] [--machines=K] "
+                "[--dispatch=central|steal] [--machines=K] "
                 "[--channel=inproc|socket] [--verify]\n");
     return 2;
   }
@@ -61,17 +60,12 @@ int main(int argc, char** argv) {
   const std::size_t threads =
       flags.get("threads",
                 static_cast<std::uint64_t>(computation.simulation.threads));
-  const std::size_t shards = flags.get("shards", std::uint64_t{1});
   const std::string executor_name =
       flags.get("executor", std::string("engine"));
   // Reject nonsense parallelism up front rather than silently falling back
   // to a default: a benchmark script passing --threads=0 should fail loud.
   if (threads == 0) {
     std::printf("--threads must be >= 1\n");
-    return 2;
-  }
-  if (shards == 0) {
-    std::printf("--shards must be >= 1\n");
     return 2;
   }
   const std::string dispatch_name =
@@ -89,7 +83,6 @@ int main(int argc, char** argv) {
   if (executor_name == "engine") {
     core::EngineOptions options;
     options.threads = threads;
-    options.scheduler_shards = shards;
     options.dispatch = dispatch;
     options.max_inflight_phases = computation.simulation.max_inflight_phases;
     executor = std::make_unique<core::Engine>(program, options);
@@ -105,9 +98,8 @@ int main(int argc, char** argv) {
         "machines",
         static_cast<std::uint64_t>(computation.simulation.machines));
     // Two-level parallelism: every partition block runs the full worker
-    // pool, so --threads/--shards configure each per-block engine.
+    // pool, so --threads configures each per-block engine.
     options.engine_threads = threads;
-    options.scheduler_shards = shards;
     options.dispatch = dispatch;
     options.max_inflight_phases = computation.simulation.max_inflight_phases;
     const std::string channel = flags.get("channel", std::string("inproc"));

@@ -13,10 +13,6 @@
 // Conventions used across the codebase:
 //   * fields owned by exactly one mutex are DF_GUARDED_BY(that_mutex_);
 //   * private helpers called with the lock held are DF_REQUIRES(mutex_);
-//   * fields protected by a *dynamic* lock set (e.g. ShardedScheduler's
-//     index-addressed StripedMutexSet shards) cannot be expressed statically
-//     and stay unannotated with a comment naming the discipline — TSan
-//     remains the check for those;
 //   * condition-variable predicates that read guarded fields are written as
 //     explicit `while (!pred) cv.wait(lock);` loops inside the annotated
 //     method, never as lambdas (clang analyzes lambdas as separate,

@@ -149,6 +149,11 @@ class StealDispatch {
   std::optional<T> acquire(std::size_t worker, PreBlock&& pre_block) {
     Lane& lane = *lanes_[worker];
     for (;;) {
+      // Read closed_ *before* the sweep: every batch pushed before close()
+      // is then visible to it, so an empty sweep after a closed read means
+      // this lane is drained. Read after the sweep instead, a batch could
+      // land in the inbox between the two and be stranded.
+      const bool closed = closed_.load(std::memory_order_acquire);
       if (std::optional<T> item = lane.deque.pop()) {
         return item;
       }
@@ -161,7 +166,7 @@ class StealDispatch {
       if (std::optional<T> item = refill_from_injector(lane)) {
         return item;
       }
-      if (closed_.load(std::memory_order_acquire)) {
+      if (closed) {
         // Closed and this worker's full sweep came up empty: exit. Other
         // lanes' leftovers (abandoning teardown only) are drained or
         // destroyed by their own owners — a worker never exits with items
@@ -202,7 +207,10 @@ class StealDispatch {
   /// push, mirroring BlockingQueue::close.
   void close() {
     closed_.store(true, std::memory_order_release);
-    injector_.close();
+    // The global injector stays open: only workers feed it (deque
+    // overflow in take_first_stash_rest), and a spill that lands after
+    // close must not drop items the dispatch already accepted. The
+    // spiller sweeps the injector before it can exit, so nothing strands.
     for (auto& lane : lanes_) {
       lane->inbox.close();
     }
@@ -283,8 +291,8 @@ class StealDispatch {
         continue;
       }
       // Deque full (possible only through seq lag or a tiny capacity):
-      // spill the tail back to the injector in one batch. Rejection only
-      // happens after close, where dropping is the abandoning contract.
+      // spill the tail back to the injector in one batch (never closed,
+      // so the spill cannot be rejected).
       scratch.erase(scratch.begin(),
                     scratch.begin() + static_cast<std::ptrdiff_t>(kept));
       injector_.push_batch(std::span<T>(scratch));

@@ -64,24 +64,6 @@ Engine::Engine(const Program& program, EngineOptions options, BlockPlan plan)
                      ? options_.block->sinks
                      : &sinks_;
   DF_CHECK(options_.threads >= 1, "engine needs at least one worker thread");
-  DF_CHECK(options_.scheduler_shards >= 1,
-           "engine needs at least one scheduler shard");
-  // Sharded scheduler opt-in (see EngineOptions::scheduler_shards). An
-  // observer needs one snapshot per transition, which only the flat
-  // per-pair path provides. In block mode the shards sub-partition the
-  // block's local index range, not the whole program.
-  const std::size_t shards =
-      std::min<std::size_t>(options_.scheduler_shards, scheduler_.n());
-  if (shards > 1 && options_.observer == nullptr) {
-    sharded_window_ = options_.max_inflight_phases == 0
-                          ? 64
-                          : options_.max_inflight_phases;
-    sharded_ = std::make_unique<ShardedScheduler>(
-        plan.m,
-        graph::make_shard_map(graph::partition_balanced_range(
-            static_cast<std::uint32_t>(scheduler_.n()), shards)),
-        sharded_window_, plan.signal_sources);
-  }
 }
 
 Engine::~Engine() {
@@ -123,28 +105,12 @@ void Engine::start() {
   }
   started_ = true;
   if (options_.dispatch == EngineOptions::Dispatch::kWorkStealing) {
-    // Work-stealing dispatch (PR 9): per-worker deques replace the central
-    // run queue for both scheduler paths (flat staged rings and sharded).
-    // Constructed before any worker exists, so workers only ever see a
+    // Work-stealing dispatch: per-worker deques replace the central run
+    // queue. Constructed before any worker exists, so workers only ever see a
     // fully-built lane array.
     steal_ = std::make_unique<StealDispatch<Scheduler::ReadyPair>>(
         options_.threads, options_.steal_deque_capacity,
         options_.dispatch_chunk);
-  }
-  if (sharded_ != nullptr) {
-    // Sharded mode: per-shard locks replace the global-lock staging
-    // protocol, so the flat scheduler and the staging rings stay unused.
-    sharded_->reserve_steady_state(
-        std::min<std::size_t>(2 * sharded_->n(), 65536));
-    drain_batch_target_ =
-        options_.drain_batch_target != 0
-            ? options_.drain_batch_target
-            : std::min<std::size_t>(16, 2 * options_.threads);
-    workers_.reserve(options_.threads);
-    for (std::size_t i = 0; i < options_.threads; ++i) {
-      workers_.emplace_back([this, i] { worker_main_sharded(i); });
-    }
-    return;
   }
   // Warm the scheduler's flat structures to the run's expected footprint so
   // the locked bookkeeping path is allocation-free from the first phase
@@ -166,12 +132,9 @@ void Engine::start() {
   // observer needs the per-pair path for its snapshots.
   use_staging_ = options_.staged_deliveries && options_.threads > 1 &&
                  options_.observer == nullptr;
-  // Default batch target: a couple of pairs per worker, capped so drain
+  // Drain batch target: a couple of pairs per worker, capped so drain
   // latency stays small relative to the window's refill rate.
-  drain_batch_target_ =
-      options_.drain_batch_target != 0
-          ? options_.drain_batch_target
-          : std::min<std::size_t>(16, 2 * options_.threads);
+  drain_target_ = std::min<std::size_t>(16, 2 * options_.threads);
   if (use_staging_) {
     const std::size_t capacity = std::bit_ceil(
         std::max<std::size_t>(2, options_.staging_ring_capacity));
@@ -275,33 +238,6 @@ void Engine::start_phase_bundles(std::vector<event::InputBundle>& bundles,
   // site like the apply paths: notify under the lock, fire the completion
   // hook after releasing it.
   event::PhaseId completed_now = 0;
-  if (sharded_ != nullptr) {
-    {
-      conc::UniqueLock lock(mutex_);
-      // Backpressure: collectors notify progress_cv_ under mutex_ whenever
-      // a retirement shrinks the window (active_phase_count is an atomic
-      // updated before that notify, so the predicate cannot miss it). The
-      // lambda reads no mutex_-guarded fields, so it is analysis-safe.
-      progress_cv_.wait(lock, [this] {
-        return sharded_->active_phase_count() < sharded_window_;
-      });
-      const event::PhaseId p = sharded_->pmax() + 1;
-      if (sharded_->start_phase(p, std::span<event::InputBundle>(bundles),
-                                injected, env_ready_)) {
-        completed_now = sharded_->completed_through();
-        progress_cv_.notify_all();
-      }
-      max_inflight_ = std::max<std::uint64_t>(
-          max_inflight_, sharded_->active_phase_count());
-    }
-    // Feed the workers before the completion hook: the hook may block on a
-    // channel send and must not starve the pool of the pairs just issued.
-    enqueue_ready(env_ready_, kEnvProducer);
-    if (completed_now != 0 && options_.on_phase_complete) {
-      options_.on_phase_complete(completed_now);
-    }
-    return;
-  }
   {
     conc::UniqueLock lock(mutex_);
     // Backpressure wait. Every transition that shrinks the window is a
@@ -331,6 +267,8 @@ void Engine::start_phase_bundles(std::vector<event::InputBundle>& bundles,
           scheduler_.snapshot());
     }
   }
+  // Feed the workers before the completion hook: the hook may block on a
+  // channel send and must not starve the pool of the pairs just issued.
   enqueue_ready(env_ready_, kEnvProducer);
   if (completed_now != 0 && options_.on_phase_complete) {
     options_.on_phase_complete(completed_now);
@@ -344,9 +282,8 @@ void Engine::finish() {
   }
   {
     conc::UniqueLock lock(mutex_);
-    // Explicit loop: the flat-path predicate reads the guarded scheduler_.
-    while (!(sharded_ != nullptr ? sharded_->all_started_phases_complete()
-                                 : scheduler_.all_started_phases_complete())) {
+    // Explicit loop: the predicate reads the guarded scheduler_.
+    while (!scheduler_.all_started_phases_complete()) {
       progress_cv_.wait(lock);
     }
   }
@@ -394,19 +331,16 @@ constexpr std::uint32_t kEngineImageVersion = 1;
 void Engine::quiesce() {
   DF_CHECK(started_ && !finished_, "quiesce outside start()/finish()");
   conc::UniqueLock lock(mutex_);
-  // Explicit loop: the flat-path predicate reads the guarded scheduler_.
+  // Explicit loop: the predicate reads the guarded scheduler_.
   // Workers apply everything staged before blocking on an empty dispatcher
   // (the pre-block hook), so completion of the last started phase is always
   // reached and notified without caller involvement.
-  while (!(sharded_ != nullptr ? sharded_->all_started_phases_complete()
-                               : scheduler_.all_started_phases_complete())) {
+  while (!scheduler_.all_started_phases_complete()) {
     progress_cv_.wait(lock);
   }
 }
 
 std::vector<std::uint8_t> Engine::snapshot_state() {
-  DF_CHECK(sharded_ == nullptr,
-           "snapshot_state supports the flat scheduler only");
   DF_CHECK(started_ && !finished_, "snapshot_state outside start()/finish()");
   auto ar = support::StateArchive::saver();
   std::uint32_t magic = kEngineImageMagic;
@@ -440,8 +374,6 @@ std::vector<std::uint8_t> Engine::snapshot_state() {
 }
 
 void Engine::restore_state(const std::vector<std::uint8_t>& image) {
-  DF_CHECK(sharded_ == nullptr,
-           "restore_state supports the flat scheduler only");
   DF_CHECK(started_ && !finished_,
            "restore_state requires a started engine (before any phase)");
   auto ar = support::StateArchive::loader(open_image(image, "engine"));
@@ -481,9 +413,6 @@ void Engine::restore_state(const std::vector<std::uint8_t>& image) {
 }
 
 event::PhaseId Engine::completed_phases() const {
-  if (sharded_ != nullptr) {
-    return sharded_->completed_through();
-  }
   conc::MutexLock lock(mutex_);
   return scheduler_.completed_through();
 }
@@ -728,7 +657,7 @@ void Engine::worker_main(std::size_t worker_index) {
       // consume an uncounted entry and underflow the counter.
       staged_pending_.fetch_add(1);
       if (ring->try_push(staged)) {
-        maybe_drain(drain_batch_target_, worker_index);
+        maybe_drain(drain_target_, worker_index);
       } else {
         // Ring full: roll the count back and apply this one directly.
         staged_pending_.fetch_sub(1);
@@ -740,145 +669,6 @@ void Engine::worker_main(std::size_t worker_index) {
       ready.clear();
       apply_finish_locked(staged, ready);
       enqueue_ready(ready, worker_index);
-    }
-    bookkeeping_ns_.add(bookkeeping_timer.elapsed_ns());
-    executed_pairs_.add(1);
-  }
-}
-
-void Engine::flush_applies(std::vector<Scheduler::StagedFinish>& local) {
-  if (local.empty()) {
-    return;
-  }
-  sharded_->apply_finish_batch(std::span<Scheduler::StagedFinish>(local));
-  const std::size_t applied = local.size();
-  local.clear();
-  // Count only after the apply completed: a collector that reads the
-  // counter and then collects is guaranteed to cover every counted finish
-  // (the shard locks order the apply before the collect's scan).
-  apply_dirty_.fetch_add(applied);
-}
-
-void Engine::maybe_collect(std::size_t threshold,
-                           std::size_t worker) {
-  for (;;) {
-    if (apply_dirty_.load() < threshold) {
-      return;
-    }
-    if (collecting_.exchange(true)) {
-      // Someone else is collecting. A lazy (batch-target) caller can
-      // leave: the holder re-checks apply_dirty_ after releasing, and our
-      // increment is ordered before this failed exchange. A must-collect
-      // caller (threshold 1, about to block on the run queue) waits for
-      // the flag and mops up the residue itself, exactly like
-      // maybe_drain's threshold-1 discipline.
-      if (threshold > 1) {
-        return;
-      }
-      std::this_thread::yield();
-      continue;
-    }
-    const std::size_t observed = apply_dirty_.load();
-    collect_ready_.clear();
-    const bool retired = sharded_->collect(collect_ready_);
-    const event::PhaseId completed_now =
-        retired ? sharded_->completed_through() : 0;
-    if (options_.sample_inflight || retired) {
-      conc::MutexLock lock(mutex_);
-      if (options_.sample_inflight) {
-        // One sample per covered finish, at the post-collect state (same
-        // weighting as the staged drain path).
-        const std::uint64_t active = sharded_->active_phase_count();
-        for (std::size_t i = 0; i < observed; ++i) {
-          inflight_.add(active);
-          inflight_sum_ += active;
-        }
-        inflight_samples_ += observed;
-      }
-      if (retired) {
-        // Retirement shrinks the window and may satisfy finish(); taking
-        // mutex_ around the notify pairs with both waiters' predicate
-        // checks so the wakeup cannot be lost.
-        progress_cv_.notify_all();
-      }
-    }
-    apply_dirty_.fetch_sub(observed);
-    enqueue_ready(collect_ready_, worker);
-    collecting_.store(false);
-    // Completion hook after releasing collecting_, so a blocking hook
-    // never stalls other collect volunteers. Concurrent collectors may
-    // therefore fire out of order (the options_ doc warns consumers);
-    // completed_through itself is monotone.
-    if (completed_now != 0 && options_.on_phase_complete) {
-      options_.on_phase_complete(completed_now);
-    }
-    // Loop: re-check for applies that landed after our scan whose owners
-    // lost the exchange above.
-  }
-}
-
-void Engine::worker_main_sharded(std::size_t worker_index) {
-  // Sharded drain protocol (DESIGN.md, "Sharded scheduler"): execute
-  // outside every lock, batch the finish records locally, apply them
-  // under per-shard locks (stage 1 — parallel across disjoint graph
-  // regions), and volunteer to collect (stage 2 — one collector at a
-  // time composes the frontier and issues ready pairs). Before blocking
-  // on an empty run queue a worker must flush its private batch and run a
-  // threshold-1 collect, so no finish — possibly the one completing a
-  // phase — waits on a batch that never fills.
-  //
-  // The execute/record section deliberately mirrors worker_main rather
-  // than sharing a helper: the shards=1 configuration must keep the PR 3
-  // flat code paths exactly as they are, so changes to the shared-looking
-  // middle (error capture, sink recording, stats) must be made in both
-  // loops knowingly.
-  std::vector<Scheduler::StagedFinish> local;
-  local.reserve(drain_batch_target_);
-  // Pre-block hook (see worker_main): flush the private batch and run a
-  // threshold-1 collect before the dispatcher may put this worker to
-  // sleep; the collect can enqueue fresh ready pairs, which both
-  // dispatchers re-check for after the hook.
-  const auto pre_block = [this, &local, worker_index] {
-    flush_applies(local);
-    maybe_collect(1, worker_index);
-  };
-  for (;;) {
-    std::optional<Scheduler::ReadyPair> item =
-        steal_ != nullptr ? steal_->acquire(worker_index, pre_block)
-                          : run_queue_.pop_with_preblock(pre_block);
-    if (!item.has_value()) {
-      break;  // closed and drained
-    }
-    support::Stopwatch compute_timer;
-    ExecutionResult result;
-    try {
-      // Global-index execution against the local-index scheduler, exactly
-      // as in worker_main above.
-      result = execute_vertex(instance_, item->vertex + offset_, item->phase,
-                              item->bundle);
-    } catch (...) {
-      conc::MutexLock lock(mutex_);
-      if (first_error_ == nullptr) {
-        first_error_ = std::current_exception();
-      }
-      result = ExecutionResult{};
-    }
-    compute_ns_.add(compute_timer.elapsed_ns());
-
-    if (!result.sink_records.empty()) {
-      sink_records_.add(result.sink_records.size());
-      sink_target_->record_batch(std::move(result.sink_records));
-    }
-    messages_delivered_.add(result.deliveries.size());
-
-    support::Stopwatch bookkeeping_timer;
-    route_deliveries(result.deliveries, item->phase);
-    local.push_back(Scheduler::StagedFinish{item->vertex, item->phase,
-                                            std::move(result.deliveries),
-                                            std::move(item->bundle)});
-    if (local.size() >= drain_batch_target_) {
-      flush_applies(local);
-      maybe_collect(drain_batch_target_, worker_index);
     }
     bookkeeping_ns_.add(bookkeeping_timer.elapsed_ns());
     executed_pairs_.add(1);
@@ -901,9 +691,7 @@ ExecStats Engine::stats() const {
   }
   {
     conc::MutexLock lock(mutex_);
-    stats.phases_completed = sharded_ != nullptr
-                                 ? sharded_->completed_through()
-                                 : scheduler_.completed_through();
+    stats.phases_completed = scheduler_.completed_through();
     stats.max_inflight_phases = max_inflight_;
     stats.mean_inflight_phases =
         inflight_samples_ == 0

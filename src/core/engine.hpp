@@ -47,7 +47,6 @@
 #include "core/observer.hpp"
 #include "core/program.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 #include "core/sink_store.hpp"
 #include "support/histogram.hpp"
 
@@ -75,25 +74,6 @@ struct EngineOptions {
   /// full ring never blocks a worker — it falls back to applying that pair
   /// directly under the lock.
   std::size_t staging_ring_capacity = 256;
-  /// Staged finishes accumulate until this many are pending before anyone
-  /// volunteers to drain, so each drain amortizes its lock acquisition and
-  /// frontier pass over a real batch. Liveness does not depend on the
-  /// target: a worker always drains everything pending before it would
-  /// block on an empty run queue. 0 picks a default from the thread count.
-  /// In sharded mode the same target paces both the local apply flush and
-  /// the collect volunteer threshold.
-  std::size_t drain_batch_target = 0;
-  /// Number of partition-aligned scheduler shards. 1 (default) keeps the
-  /// flat scheduler with the PR 3 staged-ring drain — the exact legacy
-  /// code paths, byte-for-byte. Values > 1 opt in to the sharded
-  /// scheduler (core/sharded_scheduler.hpp): finished pairs are applied
-  /// under per-shard locks (stage 1, parallel across disjoint graph
-  /// regions) and one collector at a time composes the frontier and
-  /// issues ready pairs (stage 2). Clamped to the vertex count. A
-  /// per-transition observer forces the flat path (it needs a snapshot
-  /// per transition). With max_inflight_phases == 0 the sharded
-  /// scheduler's finite slot ring bounds the window at 64.
-  std::size_t scheduler_shards = 1;
 
   /// Run-queue dispatch mode. kCentral (default) keeps the single blocking
   /// MPMC run queue — one mutex+condvar shared by every worker.
@@ -104,10 +84,9 @@ struct EngineOptions {
   /// to a shared injector, and an idle worker spins adaptively before
   /// parking on a per-worker parker that producers wake individually
   /// (DESIGN.md, "Work-stealing dispatch"). Central stays the default
-  /// until the multicore crossover is recorded — the same opt-in playbook
-  /// as scheduler_shards. Composes with both the flat (staged rings) and
-  /// sharded scheduler paths; the observer and threads=1 configurations
-  /// are unaffected by the default.
+  /// until the multicore crossover is recorded. Composes with both the
+  /// staged-ring and the per-pair apply paths; the observer and threads=1
+  /// configurations are unaffected by the default.
   enum class Dispatch { kCentral, kWorkStealing };
   Dispatch dispatch = Dispatch::kCentral;
   /// Stealing mode: per-worker deque capacity, rounded up to a power of
@@ -125,10 +104,9 @@ struct EngineOptions {
   /// full worker pool inside every partition block). The engine still
   /// instantiates the complete ProgramInstance — module state and rng
   /// streams fork by *global* internal index, bit-identical to the
-  /// sequential reference — but schedules only the block: its Scheduler /
-  /// ShardedScheduler tables, bitsets and FIFOs are sized and indexed to
-  /// local indices 1..B (B = end - begin + 1) via graph::block_local_m,
-  /// and scheduler_shards sub-partition the *block*, not the program.
+  /// sequential reference — but schedules only the block: its Scheduler
+  /// tables, bitsets and FIFOs are sized and indexed to local indices
+  /// 1..B (B = end - begin + 1) via graph::block_local_m.
   ///
   /// Seam contracts:
   ///  * deliveries an executed pair addresses beyond `end` are handed to
@@ -200,8 +178,7 @@ class Engine final : public Executor {
   event::PhaseId completed_phases() const;
 
   // Checkpointing (crash-restart recovery; DESIGN.md "Crash-restart
-  // recovery"). Flat-scheduler path only — the sharded scheduler
-  // DF_CHECK-rejects.
+  // recovery").
   /// Blocks until every started phase has completed and every staged finish
   /// has been applied (workers drain their rings before blocking, so this
   /// needs no help from the caller). The engine stays running; this is the
@@ -234,20 +211,6 @@ class Engine final : public Executor {
 
  private:
   void worker_main(std::size_t worker_index);
-  /// Worker loop for sharded mode (scheduler_shards > 1): execute, batch
-  /// finishes locally, apply under shard locks, volunteer to collect.
-  void worker_main_sharded(std::size_t worker_index);
-  /// Applies the worker's local batch to the sharded scheduler (stage 1)
-  /// and publishes the count for collect pacing. Clears `local`.
-  void flush_applies(std::vector<Scheduler::StagedFinish>& local);
-  /// Stage 2 volunteer: run a collect whenever at least `threshold`
-  /// applied finishes await one and nobody else holds the collecting
-  /// flag. Same liveness/stranding discipline as maybe_drain: threshold 1
-  /// callers (about to block) wait for the flag and mop up the residue;
-  /// the post-release re-check covers applies that landed after the
-  /// collector's pass. `worker` is the calling worker's dispatch lane
-  /// (ready pairs a collect issues are enqueued on its behalf).
-  void maybe_collect(std::size_t threshold, std::size_t worker);
   /// Applies one finished pair under the global lock — the paper's
   /// Listing 1 tail and the PR 1 hot path; still used when staging is off,
   /// when a staging ring overflows, and for per-transition observers.
@@ -287,12 +250,12 @@ class Engine final : public Executor {
   /// (translated global -> local in place, compacted to the vector front)
   /// and egress ones (handed to the BlockScope::egress hook with their
   /// global index). No-op pass-through when no block scope is set. Called
-  /// from both worker loops outside any engine lock.
+  /// from the worker loop outside any engine lock.
   void route_deliveries(std::vector<Scheduler::Delivery>& deliveries,
                         event::PhaseId phase);
 
   /// Scheduling geometry resolved from options before member construction:
-  /// the m-vector the schedulers index by (global or block-local), how many
+  /// the m-vector the scheduler indexes by (global or block-local), how many
   /// leading local indices are environment-signalled sources, and the
   /// local<->global index translation.
   struct BlockPlan {
@@ -314,19 +277,6 @@ class Engine final : public Executor {
   std::uint32_t offset_ = 0;     // block mode: global == local + offset_
   std::uint32_t block_end_ = 0;  // block mode: last owned global index
   SinkStore* sink_target_ = nullptr;  // where workers record (usually own)
-
-  // Sharded mode (PR 4 tentpole; DESIGN.md "Sharded scheduler"). Non-null
-  // iff scheduler_shards > 1 resolved to the sharded path; the flat
-  // scheduler_ above then stays unused so the shards=1 configuration is
-  // untouched. apply_dirty_ counts finishes applied under shard locks but
-  // not yet covered by a collect; collecting_ serializes collectors the
-  // way draining_ serializes drainers. collect_ready_ is owned by the
-  // collecting_ holder.
-  std::unique_ptr<ShardedScheduler> sharded_;
-  std::size_t sharded_window_ = 0;  // backpressure bound == slot capacity
-  std::atomic<std::size_t> apply_dirty_{0};
-  std::atomic<bool> collecting_{false};
-  std::vector<Scheduler::ReadyPair> collect_ready_;
 
   // Environment-thread scratch (start_phase is called by one thread only):
   // reused across phases so steady-state phase starts stay allocation-light.
@@ -372,7 +322,11 @@ class Engine final : public Executor {
   // never miss an entry it might also fail to see in the ring (it spins
   // through the sub-nanosecond publication window instead of exiting).
   bool use_staging_ = false;  // resolved from options in start()
-  std::size_t drain_batch_target_ = 1;  // resolved from options in start()
+  // Staged finishes accumulate until this many are pending before anyone
+  // volunteers to drain, so each drain amortizes its lock acquisition and
+  // frontier pass over a real batch; set in start(). Liveness does not
+  // depend on it: a worker drains everything pending before it blocks.
+  std::size_t drain_target_ = 1;
   std::vector<std::unique_ptr<conc::SpscRing<Scheduler::StagedFinish>>>
       staging_;
   std::atomic<std::size_t> staged_pending_{0};

@@ -802,12 +802,8 @@ TransportEngine::TransportEngine(const core::Program& program,
   DF_CHECK(options_.machines >= 1, "transport needs at least one machine");
   DF_CHECK(options_.engine_threads >= 1,
            "transport needs at least one engine thread per block");
-  DF_CHECK(options_.scheduler_shards >= 1,
-           "transport needs at least one scheduler shard per block");
   DF_CHECK(options_.max_inflight_phases >= 1,
            "transport block engines need a finite phase window");
-  DF_CHECK(options_.checkpoint_every == 0 || options_.scheduler_shards == 1,
-           "checkpointing requires the flat scheduler (scheduler_shards = 1)");
   DF_CHECK(!options_.crash_hook || options_.checkpoint_every > 0,
            "crash_hook requires checkpoint_every > 0 (recovery replays from "
            "retained frames)");
@@ -914,7 +910,6 @@ void TransportEngine::engine_main(EngineState& state,
     // applied — from whichever worker applied it.
     core::EngineOptions eopts;
     eopts.threads = options_.engine_threads;
-    eopts.scheduler_shards = options_.scheduler_shards;
     eopts.dispatch = options_.dispatch;
     eopts.max_inflight_phases = options_.max_inflight_phases;
     core::EngineOptions::BlockScope scope;

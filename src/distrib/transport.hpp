@@ -6,8 +6,7 @@
 // block with serialized bytes crossing every boundary:
 //
 //   * the graph is cut into contiguous satisfactory-numbering blocks
-//     (graph::Partitioning, the same cuts the sharded scheduler aligns its
-//     state segments with); partition engine k owns block k and executes
+//     (graph::Partitioning); partition engine k owns block k and executes
 //     only its own vertices — a coordinator thread paces the phase windows
 //     and a block-scoped core::Engine worker pool runs the pairs — against
 //     its own module state;
@@ -41,8 +40,8 @@
 // worker pool — scoped to the block (DESIGN.md, "Two-level parallelism"):
 // the engine's scheduler tables are sized to the block's contiguous index
 // range (graph::block_local_m), engine_threads workers execute in-block
-// pairs concurrently with phases pipelined up to max_inflight_phases, and
-// scheduler_shards sub-partition the block. The two seams:
+// pairs concurrently with phases pipelined up to max_inflight_phases. The
+// two seams:
 //
 //   * ingress: each phase's reassembled remote deliveries are injected as
 //     that phase's virtual index-0 inputs when its window opens (the
@@ -58,8 +57,8 @@
 // The ensemble's sink output stays *byte-identical* (canonical order) to
 // the sequential reference; the differential suite in test_transport.cpp
 // asserts exactly that over the randomized program corpus, both channel
-// implementations, fault-injected channels, and the engine-threads x
-// shards matrix.
+// implementations, fault-injected channels, and several engine-thread
+// counts.
 //
 // Teardown ordering (also DESIGN.md): each engine closes its egress
 // channels immediately after its last watermark, then drains its ingress
@@ -124,13 +123,9 @@ struct TransportOptions {
   /// Worker threads of each per-block core::Engine (the inner level of the
   /// two-level parallelism; the outer level is `machines`).
   std::size_t engine_threads = 1;
-  /// Scheduler shards of each per-block engine, sub-partitioning the
-  /// block's local index range (clamped to the block size).
-  std::size_t scheduler_shards = 1;
   /// Run-queue dispatch of each per-block engine: central blocking queue
   /// (default) or per-worker work-stealing deques (see
-  /// core::EngineOptions::dispatch). Orthogonal to engine_threads and
-  /// scheduler_shards — the third axis of the per-block knob matrix.
+  /// core::EngineOptions::dispatch). Orthogonal to engine_threads.
   core::EngineOptions::Dispatch dispatch =
       core::EngineOptions::Dispatch::kCentral;
   /// Per-block engine phase window (EngineOptions::max_inflight_phases);
@@ -149,8 +144,7 @@ struct TransportOptions {
   /// restarted partition's re-executed phases reproduce byte-identical
   /// frames under the original sequence numbers. 0 (default) disables
   /// checkpointing, retention, and the deterministic path entirely — the
-  /// incremental-encode hot path is untouched. Requires scheduler_shards
-  /// == 1 (snapshots are flat-scheduler only).
+  /// incremental-encode hot path is untouched.
   std::size_t checkpoint_every = 0;
   /// Test seam for the kill-a-partition harness: called at the instrumented
   /// CrashPoints of every partition coordinator with (block, phase, point).
@@ -211,8 +205,8 @@ class TransportEngine final : public core::Executor {
   core::Program program_;
   TransportOptions options_;
   graph::Partitioning partitioning_;
-  /// owner_[v] = block owning internal index v (slot 0 unused). Like
-  /// graph::ShardMap::shard_of but tolerant of empty blocks.
+  /// owner_[v] = block owning internal index v (slot 0 unused): the
+  /// table form of graph::Partitioning::block_of, for O(1) egress lookups.
   std::vector<std::uint32_t> owner_;
   /// Channels live until the engine is destroyed (not just until run()
   /// returns), so tests holding wrapper pointers can read fault counters

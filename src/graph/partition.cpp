@@ -25,10 +25,7 @@ void check_blocks(std::uint32_t n, std::size_t blocks) {
 
 Partitioning partition_balanced(const Numbering& numbering,
                                 std::size_t blocks) {
-  return partition_balanced_range(numbering.size(), blocks);
-}
-
-Partitioning partition_balanced_range(std::uint32_t n, std::size_t blocks) {
+  const std::uint32_t n = numbering.size();
   check_blocks(n, blocks);
   Partitioning partitioning;
   partitioning.bounds.push_back(0);
@@ -185,22 +182,6 @@ void validate_partition_cut(const Partitioning& partitioning, std::uint32_t n,
              "partition bounds decrease at block ", k, ": ",
              partitioning.bounds[k], " > ", partitioning.bounds[k + 1]);
   }
-}
-
-ShardMap make_shard_map(const Partitioning& partitioning) {
-  DF_CHECK(partitioning.bounds.size() >= 2 && partitioning.bounds.front() == 0,
-           "partitioning has no blocks");
-  ShardMap map;
-  map.bounds = partitioning.bounds;
-  map.shard_of.assign(map.vertex_count() + 1, 0);
-  for (std::size_t k = 0; k < map.shard_count(); ++k) {
-    DF_CHECK(map.bounds[k] < map.bounds[k + 1],
-             "partition block ", k, " is empty");
-    for (std::uint32_t v = map.begin(k); v <= map.end(k); ++v) {
-      map.shard_of[v] = static_cast<std::uint32_t>(k);
-    }
-  }
-  return map;
 }
 
 PartitionMetrics evaluate_partitioning(const Dag& dag,

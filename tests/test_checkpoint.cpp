@@ -422,17 +422,5 @@ TEST(CheckpointImageRejection, FallsBackToPreviousIntactCheckpoint) {
   EXPECT_TRUE(report.equivalent) << report.summary();
 }
 
-TEST(CheckpointImageRejection, ShardedSchedulerRefusesToSnapshot) {
-  const Program program = testutil::random_program(3);
-  EngineOptions options;
-  options.threads = 2;
-  options.scheduler_shards = 2;
-  Engine engine(program, options);
-  engine.start();
-  engine.quiesce();
-  EXPECT_THROW(engine.snapshot_state(), support::check_error);
-  engine.finish();
-}
-
 }  // namespace
 }  // namespace df::core

@@ -289,13 +289,5 @@ TEST(CrashRestartOptions, CrashHookRequiresCheckpointing) {
   EXPECT_THROW(TransportEngine(program, options), support::check_error);
 }
 
-TEST(CrashRestartOptions, CheckpointingRequiresFlatScheduler) {
-  const core::Program program = testutil::random_program(0);
-  TransportOptions options;
-  options.checkpoint_every = 2;
-  options.scheduler_shards = 2;
-  EXPECT_THROW(TransportEngine(program, options), support::check_error);
-}
-
 }  // namespace
 }  // namespace df

@@ -181,94 +181,6 @@ TEST(Engine, AbandonedEngineShutsDownCleanly) {
   SUCCEED();
 }
 
-TEST(Engine, ShardedSchedulerMatchesSequential) {
-  // scheduler_shards > 1 swaps in the partition-aligned sharded scheduler
-  // with the apply/collect drain; results must be serializably equivalent
-  // to the sequential reference, exactly like the flat path.
-  const Program program = chain_program(12, 21);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4},
-                                   std::size_t{8}}) {
-    EngineOptions options;
-    options.threads = 4;
-    options.scheduler_shards = shards;
-    Engine engine(program, options);
-    const auto report = trace::check_against_sequential(program, engine, 120);
-    EXPECT_TRUE(report.equivalent) << "shards " << shards << ": "
-                                   << report.summary();
-  }
-}
-
-TEST(Engine, ShardedTinyInflightWindowStillCorrect) {
-  const Program program = chain_program(6, 5);
-  EngineOptions options;
-  options.threads = 3;
-  options.max_inflight_phases = 1;  // fully serialized phases
-  options.scheduler_shards = 3;
-  Engine engine(program, options);
-  const auto report = trace::check_against_sequential(program, engine, 64);
-  EXPECT_TRUE(report.equivalent) << report.summary();
-  EXPECT_LE(engine.stats().max_inflight_phases, 1U);
-}
-
-TEST(Engine, ShardedStatsAccountForWork) {
-  const Program program = chain_program(5, 10);
-  EngineOptions options;
-  options.threads = 2;
-  options.scheduler_shards = 5;
-  Engine engine(program, options);
-  engine.run(40, nullptr);
-  const ExecStats stats = engine.stats();
-  EXPECT_EQ(stats.phases_completed, 40U);
-  EXPECT_EQ(stats.executed_pairs, 5U * 40U);
-  EXPECT_EQ(stats.messages_delivered, 4U * 40U);
-  EXPECT_EQ(stats.sink_records, 40U);
-}
-
-TEST(Engine, ShardedShardCountClampedToVertices) {
-  // More shards than vertices must degrade gracefully (clamped), and a
-  // single worker still drives the apply/collect protocol to completion.
-  const Program program = chain_program(3, 17);
-  EngineOptions options;
-  options.threads = 1;
-  options.scheduler_shards = 64;
-  Engine engine(program, options);
-  engine.run(30, nullptr);
-  EXPECT_EQ(engine.stats().phases_completed, 30U);
-  EXPECT_EQ(engine.stats().executed_pairs, 3U * 30U);
-}
-
-TEST(Engine, ShardedModuleExceptionSurfacesAtFinish) {
-  spec::GraphBuilder b;
-  const auto src = b.add("src", model::factory_of<model::CounterSource>());
-  const auto bomb = b.add_lambda("bomb", [](model::PhaseContext& ctx) {
-    if (ctx.phase() == 3) {
-      throw std::runtime_error("model blew up");
-    }
-  });
-  b.connect(src, bomb);
-  const Program program = std::move(b).build(9);
-  EngineOptions options;
-  options.threads = 2;
-  options.scheduler_shards = 2;
-  Engine engine(program, options);
-  EXPECT_THROW(engine.run(10, nullptr), std::runtime_error);
-  EXPECT_EQ(engine.completed_phases(), 10U);
-}
-
-TEST(Engine, ShardedAbandonedEngineShutsDownCleanly) {
-  const Program program = chain_program(4, 12);
-  {
-    EngineOptions options;
-    options.threads = 2;
-    options.scheduler_shards = 2;
-    Engine engine(program, options);
-    engine.start();
-    engine.start_phase({});
-    // Destructor must join workers without finish().
-  }
-  SUCCEED();
-}
-
 TEST(Engine, SparseTrafficExecutesOnlyReachedVertices) {
   // src emits on ~10% of phases; downstream executes only then.
   spec::GraphBuilder b;

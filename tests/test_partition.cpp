@@ -85,45 +85,22 @@ TEST(Partition, ValidatorAcceptsDegenerateCutsAndRejectsInvalidOnes) {
                support::check_error);
 }
 
-TEST(Partition, ShardMapAgreesWithBlockOf) {
-  support::Rng rng(5);
-  const graph::Dag dag = graph::random_dag(23, 0.3, rng);
-  const Numbering numbering = numbering_of(dag);
-  for (const std::size_t blocks : {std::size_t{1}, std::size_t{4},
-                                   std::size_t{8}}) {
-    const Partitioning p = graph::partition_balanced(numbering, blocks);
-    const graph::ShardMap map = graph::make_shard_map(p);
-    ASSERT_EQ(map.shard_count(), blocks);
-    EXPECT_EQ(map.vertex_count(), numbering.size());
-    for (std::uint32_t v = 1; v <= numbering.size(); ++v) {
-      EXPECT_EQ(map.shard_of[v], p.block_of(v)) << "vertex " << v;
-      const std::size_t k = map.shard_of[v];
-      EXPECT_GE(v, map.begin(k));
-      EXPECT_LE(v, map.end(k));
-    }
-    // Shards tile 1..N contiguously.
-    EXPECT_EQ(map.begin(0), 1U);
-    EXPECT_EQ(map.end(blocks - 1), numbering.size());
-    for (std::size_t k = 1; k < blocks; ++k) {
-      EXPECT_EQ(map.begin(k), map.end(k - 1) + 1);
-    }
-  }
-}
-
-TEST(Partition, ShardMapCrossTrafficIsForwardOnly) {
-  // The property the sharded scheduler's locking discipline rests on:
-  // under a satisfactory numbering, every edge's target shard is >= its
-  // source shard.
+TEST(Partition, CrossBlockTrafficIsForwardOnly) {
+  // The property the transport rests on: under a satisfactory numbering,
+  // every edge's target block is >= its source block, so a remote delivery
+  // never targets a lower block — and never a source, since sources
+  // (indices 1..m(0)) have no in-edges.
   support::Rng rng(9);
   const graph::Dag dag = graph::random_dag(31, 0.25, rng);
   const Numbering numbering = numbering_of(dag);
-  const graph::ShardMap map = graph::make_shard_map(
-      graph::partition_balanced(numbering, 5));
+  const Partitioning p = graph::partition_balanced(numbering, 5);
   for (const graph::Edge& e : dag.edges()) {
     const std::uint32_t from = numbering.index_of[e.from];
     const std::uint32_t to = numbering.index_of[e.to];
-    EXPECT_LE(map.shard_of[from], map.shard_of[to])
-        << "edge " << from << " -> " << to << " flows backward across shards";
+    EXPECT_LE(p.block_of(from), p.block_of(to))
+        << "edge " << from << " -> " << to << " flows backward across blocks";
+    EXPECT_GT(to, numbering.m[0]) << "edge " << from << " -> " << to
+                                  << " targets a source";
   }
 }
 

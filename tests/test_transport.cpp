@@ -120,9 +120,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TransportDifferential,
 
 // --- two-level parallelism: worker pool inside every partition --------------
 
-// The full matrix the tentpole promises: every partition block running a
-// multi-threaded (and optionally sharded) core::Engine must still produce
-// sink output byte-identical to the sequential reference, and concurrent
+// The full matrix: every partition block running a multi-threaded
+// core::Engine must still produce sink output byte-identical to the
+// sequential reference, and concurrent
 // egress must not break the frames-per-phase ceiling — batches for a phase
 // are held until the phase completes, so the per-channel cost stays one
 // coalesced batch plus one watermark regardless of worker interleaving.
@@ -139,43 +139,39 @@ TEST_P(TransportTwoLevel, WorkerPoolPerBlockMatchesSequential) {
     }
     for (const std::size_t engine_threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-        for (const ChannelKind kind : kBothKinds) {
-          TransportOptions options;
-          options.machines = machines;
-          options.channel = kind;
-          options.channel_capacity = 8;
-          options.engine_threads = engine_threads;
-          options.scheduler_shards = shards;
-          // Small window so the inner pipeline's backpressure (start_phase
-          // blocking while the egress hub holds future-phase batches) is
-          // exercised, not just theoretical.
-          options.max_inflight_phases = 4;
-          TransportEngine transport(program, options);
-          const auto report =
-              trace::check_against_sequential(program, transport, phases);
-          EXPECT_TRUE(report.equivalent)
-              << "machines=" << machines << " threads=" << engine_threads
-              << " shards=" << shards << " channel=" << kind_name(kind)
-              << " seed=" << seed << "\n"
-              << report.summary();
-          EXPECT_GT(report.reference_records, 0U)
-              << "workload produced no output";
+      for (const ChannelKind kind : kBothKinds) {
+        TransportOptions options;
+        options.machines = machines;
+        options.channel = kind;
+        options.channel_capacity = 8;
+        options.engine_threads = engine_threads;
+        // Small window so the inner pipeline's backpressure (start_phase
+        // blocking while the egress hub holds future-phase batches) is
+        // exercised, not just theoretical.
+        options.max_inflight_phases = 4;
+        TransportEngine transport(program, options);
+        const auto report =
+            trace::check_against_sequential(program, transport, phases);
+        EXPECT_TRUE(report.equivalent)
+            << "machines=" << machines << " threads=" << engine_threads
+            << " channel=" << kind_name(kind) << " seed=" << seed << "\n"
+            << report.summary();
+        EXPECT_GT(report.reference_records, 0U)
+            << "workload produced no output";
 
-          // The ceiling and the accounting invariants must survive
-          // concurrent egress from engine_threads workers per block.
-          const auto& stats = transport.transport_stats();
-          const std::uint64_t channels = machines * (machines - 1) / 2;
-          EXPECT_LE(stats.frames_sent, 2 * phases * channels)
-              << "machines=" << machines << " threads=" << engine_threads
-              << " shards=" << shards << " seed=" << seed
-              << ": concurrent egress broke the batching ceiling ("
-              << stats.frames_sent << " frames, " << stats.remote_messages
-              << " remote deliveries)";
-          EXPECT_EQ(stats.batched_deliveries, stats.remote_messages);
-          EXPECT_EQ(stats.frames_received, stats.frames_sent);
-          EXPECT_EQ(stats.bytes_received, stats.bytes_sent);
-        }
+        // The ceiling and the accounting invariants must survive
+        // concurrent egress from engine_threads workers per block.
+        const auto& stats = transport.transport_stats();
+        const std::uint64_t channels = machines * (machines - 1) / 2;
+        EXPECT_LE(stats.frames_sent, 2 * phases * channels)
+            << "machines=" << machines << " threads=" << engine_threads
+            << " seed=" << seed
+            << ": concurrent egress broke the batching ceiling ("
+            << stats.frames_sent << " frames, " << stats.remote_messages
+            << " remote deliveries)";
+        EXPECT_EQ(stats.batched_deliveries, stats.remote_messages);
+        EXPECT_EQ(stats.frames_received, stats.frames_sent);
+        EXPECT_EQ(stats.bytes_received, stats.bytes_sent);
       }
     }
   }
@@ -198,7 +194,6 @@ TEST(TransportTwoLevel, StealingDispatchMatchesSequential) {
     options.channel = kind;
     options.channel_capacity = 8;
     options.engine_threads = 4;
-    options.scheduler_shards = 2;
     options.dispatch = core::EngineOptions::Dispatch::kWorkStealing;
     options.max_inflight_phases = 4;
     TransportEngine transport(program, options);
@@ -228,7 +223,6 @@ TEST(TransportTwoLevel, FaultInjectionSurvivesWorkerPools) {
   options.channel = ChannelKind::kInProcess;
   options.channel_capacity = 8;
   options.engine_threads = 4;
-  options.scheduler_shards = 2;
   options.channel_wrapper =
       [&faulty](std::unique_ptr<distrib::Channel> inner, std::size_t from,
                 std::size_t to) -> std::unique_ptr<distrib::Channel> {
@@ -254,10 +248,9 @@ TEST(TransportTwoLevel, FaultInjectionSurvivesWorkerPools) {
 }
 
 // Cross-boundary stress for TSan (ctest label: transport): three blocks,
-// four workers and two scheduler shards each, a tiny channel bound, and a
-// deep phase pipeline — maximal concurrency between worker-pool egress,
-// the per-link flush callbacks, the coordinator's ingress loop, and the
-// reader threads.
+// four workers each, a tiny channel bound, and a deep phase pipeline —
+// maximal concurrency between worker-pool egress, the per-link flush
+// callbacks, the coordinator's ingress loop, and the reader threads.
 TEST(TransportTwoLevel, CrossBoundaryStressUnderWorkerPools) {
   const core::Program program = testutil::random_program(11);
   ASSERT_GE(program.numbering.size(), 3U);
@@ -267,7 +260,6 @@ TEST(TransportTwoLevel, CrossBoundaryStressUnderWorkerPools) {
   options.channel = ChannelKind::kInProcess;
   options.channel_capacity = 4;  // senders block constantly
   options.engine_threads = 4;
-  options.scheduler_shards = 2;
   options.max_inflight_phases = 16;
   TransportEngine transport(program, options);
   const auto report =
@@ -277,16 +269,11 @@ TEST(TransportTwoLevel, CrossBoundaryStressUnderWorkerPools) {
 }
 
 // Degenerate knobs are rejected loudly instead of silently falling back.
-TEST(TransportTwoLevel, RejectsZeroThreadsShardsAndWindow) {
+TEST(TransportTwoLevel, RejectsZeroThreadsAndWindow) {
   const core::Program program = testutil::random_program(2);
   {
     TransportOptions options;
     options.engine_threads = 0;
-    EXPECT_THROW(TransportEngine(program, options), support::check_error);
-  }
-  {
-    TransportOptions options;
-    options.scheduler_shards = 0;
     EXPECT_THROW(TransportEngine(program, options), support::check_error);
   }
   {
