@@ -12,8 +12,6 @@
 #include "concurrency/blocking_queue.hpp"
 #include "concurrency/sharded_counter.hpp"
 #include "concurrency/spsc_ring.hpp"
-#include "concurrency/ws_deque.hpp"
-#include "core/dispatch.hpp"
 #include "core/scheduler.hpp"
 #include "event/value.hpp"
 #include "graph/generators.hpp"
@@ -44,39 +42,10 @@ void BM_spsc_ring_push_pop(benchmark::State& state) {
 }
 BENCHMARK(BM_spsc_ring_push_pop);
 
-/// Owner-side hot path of the work-stealing deque: one release-fenced push
-/// plus one LIFO pop (interior path — no CAS, no lock). Compare against
-/// BM_blocking_queue_push_pop: this is the per-pair dispatch cost the
-/// stealing mode substitutes for the central queue's mutex round-trip.
-void BM_ws_deque_push_pop(benchmark::State& state) {
-  conc::WsDeque<int> deque(1024);
-  for (auto _ : state) {
-    int item = 1;
-    deque.push(item);
-    benchmark::DoNotOptimize(deque.pop());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ws_deque_push_pop);
-
-/// Thief-side cost: seq_cst fence + top CAS + slot handshake per steal
-/// (uncontended here — hw_concurrency=1 on this box; contended behavior is
-/// covered by the TSan stress suite and the engine-level dispatch rows).
-void BM_ws_deque_steal(benchmark::State& state) {
-  conc::WsDeque<int> deque(1024);
-  for (auto _ : state) {
-    int item = 1;
-    deque.push(item);
-    benchmark::DoNotOptimize(deque.steal());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ws_deque_steal);
-
-/// Central-vs-stealing dispatch, batch round-trip of `Arg` items through
-/// one producer/consumer (the engine's enqueue_ready -> worker acquire
-/// cycle without execution). Central pays one queue-mutex acquisition per
-/// batch plus one per pop; stealing pays owner pushes/pops only.
+/// Run-queue dispatch, batch round-trip of `Arg` items through one
+/// producer/consumer (the engine's enqueue_ready -> worker pop cycle
+/// without execution): one queue-mutex acquisition per batch plus one per
+/// pop.
 void BM_dispatch_batch_central(benchmark::State& state) {
   const auto batch_n = static_cast<std::size_t>(state.range(0));
   conc::BlockingQueue<int> queue;
@@ -92,23 +61,6 @@ void BM_dispatch_batch_central(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * batch_n));
 }
 BENCHMARK(BM_dispatch_batch_central)->Arg(1)->Arg(16)->Arg(256);
-
-void BM_dispatch_batch_steal(benchmark::State& state) {
-  const auto batch_n = static_cast<std::size_t>(state.range(0));
-  core::StealDispatch<int> dispatch(/*workers=*/1, /*deque_capacity=*/512,
-                                    /*chunk=*/0);
-  std::vector<int> batch;
-  for (auto _ : state) {
-    batch.assign(batch_n, 1);
-    dispatch.push_batch(batch, /*producer=*/0);
-    for (std::size_t i = 0; i < batch_n; ++i) {
-      benchmark::DoNotOptimize(dispatch.acquire(0, [] {}));
-    }
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * batch_n));
-}
-BENCHMARK(BM_dispatch_batch_steal)->Arg(1)->Arg(16)->Arg(256);
 
 void BM_mutex_lock_unlock(benchmark::State& state) {
   std::mutex mutex;

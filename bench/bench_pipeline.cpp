@@ -26,18 +26,6 @@ int main(int argc, char** argv) {
   // staged=0 forces the PR 1 lock-per-pair path; 1 (default) stages
   // finished pairs in per-worker rings and applies them in batches.
   const bool staged = flags.get("staged", std::uint64_t{1}) != 0;
-  // dispatch=central (default) routes ready pairs through the shared
-  // blocking queue; dispatch=steal through per-worker deques (PR 9).
-  const std::string dispatch_name =
-      flags.get("dispatch", std::string{"central"});
-  if (dispatch_name != "central" && dispatch_name != "steal") {
-    std::fprintf(stderr, "--dispatch must be 'central' or 'steal', got %s\n",
-                 dispatch_name.c_str());
-    return 2;
-  }
-  const auto dispatch = dispatch_name == "steal"
-                            ? core::EngineOptions::Dispatch::kWorkStealing
-                            : core::EngineOptions::Dispatch::kCentral;
 
   std::printf("F1: cross-phase pipelining on the paper's 10-node graph\n");
   std::printf("%s\n", trace::machine_summary().c_str());
@@ -56,7 +44,6 @@ int main(int argc, char** argv) {
     options.max_inflight_phases = window;
     options.sample_inflight = true;
     options.staged_deliveries = staged;
-    options.dispatch = dispatch;
     core::Engine engine(program, options);
     engine.run(phases, nullptr);
     const auto stats = engine.stats();
@@ -73,7 +60,6 @@ int main(int argc, char** argv) {
         .config("grain_ns", grain_ns)
         .config("threads", static_cast<std::uint64_t>(threads))
         .config("staged", static_cast<std::uint64_t>(staged ? 1 : 0))
-        .config("dispatch", dispatch_name)
         .config("hw_concurrency",
                 static_cast<std::uint64_t>(
                     std::thread::hardware_concurrency()))
@@ -86,9 +72,6 @@ int main(int argc, char** argv) {
         .metric("pairs_per_sec", stats.pairs_per_second())
         .metric("phases_per_sec", stats.phases_per_second())
         .metric("mean_inflight", stats.mean_inflight_phases)
-        .metric("steals_ok", stats.steals_ok)
-        .metric("steals_empty", stats.steals_empty)
-        .metric("parks", stats.parks)
         .emit();
   }
   std::printf("%s", table.render().c_str());
@@ -103,16 +86,12 @@ int main(int argc, char** argv) {
       .config("phases", phases)
       .config("grain_ns", grain_ns)
       .config("threads", static_cast<std::uint64_t>(threads))
-      .config("dispatch", dispatch_name)
       .config("hw_concurrency",
               static_cast<std::uint64_t>(
                   std::thread::hardware_concurrency()))
       .metric("wall_ms", ls.wall_seconds * 1e3)
       .metric("pairs_per_sec", ls.pairs_per_second())
       .metric("phases_per_sec", ls.phases_per_second())
-      .metric("steals_ok", ls.steals_ok)
-      .metric("steals_empty", ls.steals_empty)
-      .metric("parks", ls.parks)
       .emit();
   std::printf(
       "paper Figure 1: with a deep window, ~5 phases in flight on the "
@@ -124,7 +103,6 @@ int main(int argc, char** argv) {
   depth5.threads = threads;
   depth5.max_inflight_phases = 5;
   depth5.staged_deliveries = staged;
-  depth5.dispatch = dispatch;
   depth5.sample_inflight = true;
   core::Engine engine5(program, depth5);
   engine5.run(phases, nullptr);

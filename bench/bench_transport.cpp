@@ -46,17 +46,6 @@ int main(int argc, char** argv) {
     std::printf("--engine-threads must be >= 1\n");
     return 2;
   }
-  // Second axis of the per-block engine knob matrix: ready-pair dispatch.
-  const std::string dispatch_name =
-      flags.get("dispatch", std::string{"central"});
-  if (dispatch_name != "central" && dispatch_name != "steal") {
-    std::printf("--dispatch must be 'central' or 'steal', got %s\n",
-                dispatch_name.c_str());
-    return 2;
-  }
-  const auto dispatch = dispatch_name == "steal"
-                            ? core::EngineOptions::Dispatch::kWorkStealing
-                            : core::EngineOptions::Dispatch::kCentral;
   // Fault-tolerance overhead axis: checkpoint every K completed phases
   // (0 = off, the default). A non-zero K prices quiesce + snapshot +
   // egress retention on the same rows as the plain run, so the overhead
@@ -102,7 +91,6 @@ int main(int argc, char** argv) {
       options.machines = machines;
       options.channel = kind;
       options.engine_threads = engine_threads;
-      options.dispatch = dispatch;
       options.checkpoint_every = checkpoint_every;
       distrib::TransportEngine transport(program, options);
       transport.run(phases, nullptr);
@@ -132,7 +120,6 @@ int main(int argc, char** argv) {
                                   program.numbering.size()))
           .config("engine_threads",
                   static_cast<std::uint64_t>(engine_threads))
-          .config("dispatch", dispatch_name)
           .config("checkpoint_every",
                   static_cast<std::uint64_t>(checkpoint_every))
           .config("hw_concurrency", hw_concurrency)
@@ -152,9 +139,6 @@ int main(int argc, char** argv) {
                       static_cast<double>(phases))
           .metric("remote_messages", tstats.remote_messages)
           .metric("remote_frac", remote_frac)
-          .metric("steals_ok", stats.steals_ok)
-          .metric("steals_empty", stats.steals_empty)
-          .metric("parks", stats.parks)
           .metric("checkpoints_taken", tstats.checkpoints_taken)
           .metric("checkpoint_bytes", tstats.checkpoint_bytes)
           .emit();

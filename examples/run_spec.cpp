@@ -4,8 +4,7 @@
 //
 // Usage:
 //   run_spec <spec.xml> [--executor=engine|sequential|lockstep|eager|
-//            transport] [--phases=N] [--threads=K]
-//            [--dispatch=central|steal] [--machines=K]
+//            transport] [--phases=N] [--threads=K] [--machines=K]
 //            [--channel=inproc|socket] [--verify] [--events=file.csv]
 //
 // --threads configures the worker pool: for --executor=engine the single
@@ -38,8 +37,7 @@ int main(int argc, char** argv) {
   if (flags.positional().empty()) {
     std::printf("usage: run_spec <spec.xml> [--executor=engine|sequential|"
                 "lockstep|eager|transport] [--phases=N] [--threads=K] "
-                "[--dispatch=central|steal] [--machines=K] "
-                "[--channel=inproc|socket] [--verify]\n");
+                "[--machines=K] [--channel=inproc|socket] [--verify]\n");
     return 2;
   }
 
@@ -68,22 +66,11 @@ int main(int argc, char** argv) {
     std::printf("--threads must be >= 1\n");
     return 2;
   }
-  const std::string dispatch_name =
-      flags.get("dispatch", std::string("central"));
-  if (dispatch_name != "central" && dispatch_name != "steal") {
-    std::printf("unknown dispatch '%s' (expected central|steal)\n",
-                dispatch_name.c_str());
-    return 2;
-  }
-  const auto dispatch = dispatch_name == "steal"
-                            ? core::EngineOptions::Dispatch::kWorkStealing
-                            : core::EngineOptions::Dispatch::kCentral;
 
   std::unique_ptr<core::Executor> executor;
   if (executor_name == "engine") {
     core::EngineOptions options;
     options.threads = threads;
-    options.dispatch = dispatch;
     options.max_inflight_phases = computation.simulation.max_inflight_phases;
     executor = std::make_unique<core::Engine>(program, options);
   } else if (executor_name == "sequential") {
@@ -100,7 +87,6 @@ int main(int argc, char** argv) {
     // Two-level parallelism: every partition block runs the full worker
     // pool, so --threads configures each per-block engine.
     options.engine_threads = threads;
-    options.dispatch = dispatch;
     options.max_inflight_phases = computation.simulation.max_inflight_phases;
     const std::string channel = flags.get("channel", std::string("inproc"));
     if (channel == "socket") {

@@ -85,14 +85,6 @@ Engine::~Engine() {
     // finishes left in the rings are simply destroyed with the engine.
     abandoning_.store(true, std::memory_order_release);
     run_queue_.close();
-    if (steal_ != nullptr) {
-      // Same ordering contract as the central close: the abandoning_ store
-      // above precedes the dispatch's closed/inbox-closed stores, so any
-      // worker that observes a rejected push also observes abandoning_.
-      // Ready pairs stranded in inboxes are destroyed with the engine,
-      // like the staged finishes left in the rings.
-      steal_->close();
-    }
     for (auto& worker : workers_) {
       worker.join();
     }
@@ -104,14 +96,6 @@ void Engine::start() {
     return;
   }
   started_ = true;
-  if (options_.dispatch == EngineOptions::Dispatch::kWorkStealing) {
-    // Work-stealing dispatch: per-worker deques replace the central run
-    // queue. Constructed before any worker exists, so workers only ever see a
-    // fully-built lane array.
-    steal_ = std::make_unique<StealDispatch<Scheduler::ReadyPair>>(
-        options_.threads, options_.steal_deque_capacity,
-        options_.dispatch_chunk);
-  }
   // Warm the scheduler's flat structures to the run's expected footprint so
   // the locked bookkeeping path is allocation-free from the first phase
   // (unbounded windows get a representative depth; the structures still
@@ -269,7 +253,7 @@ void Engine::start_phase_bundles(std::vector<event::InputBundle>& bundles,
   }
   // Feed the workers before the completion hook: the hook may block on a
   // channel send and must not starve the pool of the pairs just issued.
-  enqueue_ready(env_ready_, kEnvProducer);
+  enqueue_ready(env_ready_);
   if (completed_now != 0 && options_.on_phase_complete) {
     options_.on_phase_complete(completed_now);
   }
@@ -288,12 +272,6 @@ void Engine::finish() {
     }
   }
   run_queue_.close();
-  if (steal_ != nullptr) {
-    // Every started phase has completed, so no ready pair exists anywhere
-    // (an issued-but-unfinished pair keeps its phase active) and no worker
-    // can be mid-push — closing cannot reject live work here.
-    steal_->close();
-  }
   for (auto& worker : workers_) {
     worker.join();
   }
@@ -332,7 +310,7 @@ void Engine::quiesce() {
   DF_CHECK(started_ && !finished_, "quiesce outside start()/finish()");
   conc::UniqueLock lock(mutex_);
   // Explicit loop: the predicate reads the guarded scheduler_.
-  // Workers apply everything staged before blocking on an empty dispatcher
+  // Workers apply everything staged before blocking on an empty run queue
   // (the pre-block hook), so completion of the last started phase is always
   // reached and notified without caller involvement.
   while (!scheduler_.all_started_phases_complete()) {
@@ -417,19 +395,13 @@ event::PhaseId Engine::completed_phases() const {
   return scheduler_.completed_through();
 }
 
-void Engine::enqueue_ready(std::vector<Scheduler::ReadyPair>& ready,
-                           std::size_t producer) {
+void Engine::enqueue_ready(std::vector<Scheduler::ReadyPair>& ready) {
   if (ready.empty()) {
     return;
   }
-  // Central: one lock acquisition and a bounded number of wakeups for the
-  // whole batch, instead of a push per pair. Stealing: the producing
-  // worker keeps its first chunk in its own deque (no lock, cache-warm)
-  // and the rest goes round-robin into other lanes, one targeted unpark
-  // per chunk.
-  const bool accepted = steal_ != nullptr
-                            ? steal_->push_batch(ready, producer)
-                            : run_queue_.push_all(ready);
+  // One lock acquisition and a bounded number of wakeups for the whole
+  // batch, instead of a push per pair.
+  const bool accepted = run_queue_.push_all(ready);
   DF_CHECK(accepted || abandoning_.load(std::memory_order_acquire),
            "run queue closed while work was outstanding");
   ready.clear();
@@ -474,7 +446,7 @@ void Engine::apply_finish_locked(Scheduler::StagedFinish& staged,
   }
 }
 
-std::size_t Engine::drain_staged(std::size_t worker) {
+std::size_t Engine::drain_staged() {
   // Ring consumption happens outside the global lock (we are the exclusive
   // consumer while holding draining_); only the batch application below
   // takes it, and the moved-from staged shells are destroyed after release.
@@ -514,7 +486,7 @@ std::size_t Engine::drain_staged(std::size_t worker) {
   }
   const std::size_t drained = drain_batch_.size();
   staged_pending_.fetch_sub(drained);
-  enqueue_ready(drain_ready_, worker);
+  enqueue_ready(drain_ready_);
   // Completion hook after the pairs are enqueued, outside mutex_. We still
   // hold draining_ here, so a blocking hook stalls threshold-1 drain
   // volunteers in their yield loop — a bounded stall, not a deadlock: the
@@ -527,7 +499,7 @@ std::size_t Engine::drain_staged(std::size_t worker) {
   return drained;
 }
 
-void Engine::maybe_drain(std::size_t threshold, std::size_t worker) {
+void Engine::maybe_drain(std::size_t threshold) {
   for (;;) {
     if (staged_pending_.load() < threshold) {
       return;
@@ -550,7 +522,7 @@ void Engine::maybe_drain(std::size_t threshold, std::size_t worker) {
     // We hold the drain. An entry counted in staged_pending_ may not be
     // ring-visible for a moment (the producer increments before pushing);
     // the outer loop simply tries again until the counter agrees.
-    const std::size_t drained = drain_staged(worker);
+    const std::size_t drained = drain_staged();
     draining_.store(false);
     // Re-check after release: an entry staged after our ring sweep whose
     // owner lost the exchange above must not be stranded.
@@ -598,21 +570,20 @@ void Engine::worker_main(std::size_t worker_index) {
   std::vector<Scheduler::ReadyPair> ready;
   conc::SpscRing<Scheduler::StagedFinish>* ring =
       use_staging_ ? staging_[worker_index].get() : nullptr;
-  // Pre-block hook, shared by both dispatch modes: about to block (or
-  // park), apply everything pending first (threshold 1), so no staged
-  // finish — possibly the one that completes a phase or readies the only
-  // runnable pair — waits on a batch that will never fill. This is what
-  // makes the lazy batch target below safe. The drain may enqueue fresh
-  // ready pairs; both dispatchers re-check for work after the hook.
-  const auto pre_block = [this, ring, worker_index] {
+  // Pre-block hook: about to block on an empty run queue, apply everything
+  // pending first (threshold 1), so no staged finish — possibly the one
+  // that completes a phase or readies the only runnable pair — waits on a
+  // batch that will never fill. This is what makes the lazy batch target
+  // below safe. The drain may enqueue fresh ready pairs; the queue
+  // re-checks for work after the hook.
+  const auto pre_block = [this, ring] {
     if (ring != nullptr) {
-      maybe_drain(1, worker_index);
+      maybe_drain(1);
     }
   };
   for (;;) {
     std::optional<Scheduler::ReadyPair> item =
-        steal_ != nullptr ? steal_->acquire(worker_index, pre_block)
-                          : run_queue_.pop_with_preblock(pre_block);
+        run_queue_.pop_with_preblock(pre_block);
     if (!item.has_value()) {
       break;  // closed and drained
     }
@@ -657,18 +628,18 @@ void Engine::worker_main(std::size_t worker_index) {
       // consume an uncounted entry and underflow the counter.
       staged_pending_.fetch_add(1);
       if (ring->try_push(staged)) {
-        maybe_drain(drain_target_, worker_index);
+        maybe_drain(drain_target_);
       } else {
         // Ring full: roll the count back and apply this one directly.
         staged_pending_.fetch_sub(1);
         ready.clear();
         apply_finish_locked(staged, ready);
-        enqueue_ready(ready, worker_index);
+        enqueue_ready(ready);
       }
     } else {
       ready.clear();
       apply_finish_locked(staged, ready);
-      enqueue_ready(ready, worker_index);
+      enqueue_ready(ready);
     }
     bookkeeping_ns_.add(bookkeeping_timer.elapsed_ns());
     executed_pairs_.add(1);
@@ -683,12 +654,6 @@ ExecStats Engine::stats() const {
   stats.compute_ns = compute_ns_.value();
   stats.bookkeeping_ns = bookkeeping_ns_.value();
   stats.wall_seconds = wall_seconds_;
-  if (steal_ != nullptr) {
-    const auto counters = steal_->counters();
-    stats.steals_ok = counters.steals_ok;
-    stats.steals_empty = counters.steals_empty;
-    stats.parks = counters.parks;
-  }
   {
     conc::MutexLock lock(mutex_);
     stats.phases_completed = scheduler_.completed_through();

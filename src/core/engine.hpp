@@ -42,7 +42,6 @@
 #include "concurrency/blocking_queue.hpp"
 #include "concurrency/sharded_counter.hpp"
 #include "concurrency/spsc_ring.hpp"
-#include "core/dispatch.hpp"
 #include "core/executor.hpp"
 #include "core/observer.hpp"
 #include "core/program.hpp"
@@ -74,30 +73,6 @@ struct EngineOptions {
   /// full ring never blocks a worker — it falls back to applying that pair
   /// directly under the lock.
   std::size_t staging_ring_capacity = 256;
-
-  /// Run-queue dispatch mode. kCentral (default) keeps the single blocking
-  /// MPMC run queue — one mutex+condvar shared by every worker.
-  /// kWorkStealing replaces it with per-worker bounded Chase–Lev deques:
-  /// ready batches are distributed round-robin in chunks (the producing
-  /// worker keeps its first chunk — cache-warm pairs stay local), idle
-  /// workers steal from the top of other workers' deques, overflow spills
-  /// to a shared injector, and an idle worker spins adaptively before
-  /// parking on a per-worker parker that producers wake individually
-  /// (DESIGN.md, "Work-stealing dispatch"). Central stays the default
-  /// until the multicore crossover is recorded. Composes with both the
-  /// staged-ring and the per-pair apply paths; the observer and threads=1
-  /// configurations are unaffected by the default.
-  enum class Dispatch { kCentral, kWorkStealing };
-  Dispatch dispatch = Dispatch::kCentral;
-  /// Stealing mode: per-worker deque capacity, rounded up to a power of
-  /// two. A full deque never blocks or drops — the remainder of the batch
-  /// spills to the mutex-protected global injector.
-  std::size_t steal_deque_capacity = 256;
-  /// Stealing mode: chunk size for distributing one ready batch over the
-  /// worker deques. 0 (default) picks ceil(batch / threads), so one batch
-  /// wakes at most min(batch, threads) workers — never more wakeups than
-  /// items.
-  std::size_t dispatch_chunk = 0;
 
   /// Restricts the engine to one contiguous block [begin, end] of the
   /// program's satisfactory numbering (the transport's two-level mode: a
@@ -223,22 +198,16 @@ class Engine final : public Executor {
   /// its ring and then lost the flag race is covered by the drainer's next
   /// staged_pending_ check. Threshold 1 = drain everything (the mandatory
   /// pre-block call); the batch target trades a little latency for one
-  /// frontier pass per batch. `worker` is the calling worker's dispatch
-  /// lane.
-  void maybe_drain(std::size_t threshold, std::size_t worker);
+  /// frontier pass per batch.
+  void maybe_drain(std::size_t threshold);
   /// One drain pass: pops every visible staged finish (ring consumer side,
   /// exclusive via draining_), applies the whole batch to the scheduler
   /// under one short lock acquisition, then enqueues the issued pairs.
   /// Returns the number of entries applied. Caller holds draining_.
-  std::size_t drain_staged(std::size_t worker);
-  /// Hands every pair to the dispatch layer and clears `ready` so the
-  /// caller can reuse the buffer. Central: one run-queue lock acquisition
-  /// for the whole batch. Stealing: chunks go round-robin into worker
-  /// lanes with one targeted unpark each, and the producing worker
-  /// (`producer` — kEnvProducer for the environment thread) keeps its
-  /// first chunk in its own deque.
-  void enqueue_ready(std::vector<Scheduler::ReadyPair>& ready,
-                     std::size_t producer);
+  std::size_t drain_staged();
+  /// Hands every pair to the run queue with one lock acquisition for the
+  /// whole batch and clears `ready` so the caller can reuse the buffer.
+  void enqueue_ready(std::vector<Scheduler::ReadyPair>& ready);
   /// Shared tail of the start_phase overloads: `bundles` holds one
   /// pre-reserved bundle per signal source; `injected` carries block-mode
   /// remote deliveries already translated to local indices.
@@ -288,19 +257,6 @@ class Engine final : public Executor {
   mutable conc::Mutex mutex_;  // the paper's single global lock
   conc::CondVar progress_cv_;
   conc::BlockingQueue<Scheduler::ReadyPair> run_queue_;
-  /// Work-stealing dispatch (PR 9 tentpole; DESIGN.md "Work-stealing
-  /// dispatch"). Non-null iff options_.dispatch == kWorkStealing, resolved
-  /// in start(); run_queue_ then carries no traffic. Closed at exactly the
-  /// two sites that close run_queue_ (finish() and the abandoning
-  /// destructor), after the abandoning_ store — the same release/acquire
-  /// teardown argument applies: a worker observes a rejected push only
-  /// after an acquire of the dispatch's closed flag (or the inbox mutex),
-  /// which the closer's preceding abandoning_ store is ordered before.
-  std::unique_ptr<StealDispatch<Scheduler::ReadyPair>> steal_;
-  /// Producer id for enqueue_ready calls from the environment thread (it
-  /// owns no dispatch lane; every chunk it issues goes through inboxes).
-  static constexpr std::size_t kEnvProducer =
-      StealDispatch<Scheduler::ReadyPair>::kExternalProducer;
   std::vector<std::thread> workers_;
   bool started_ = false;
   bool finished_ = false;

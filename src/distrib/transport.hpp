@@ -123,11 +123,6 @@ struct TransportOptions {
   /// Worker threads of each per-block core::Engine (the inner level of the
   /// two-level parallelism; the outer level is `machines`).
   std::size_t engine_threads = 1;
-  /// Run-queue dispatch of each per-block engine: central blocking queue
-  /// (default) or per-worker work-stealing deques (see
-  /// core::EngineOptions::dispatch). Orthogonal to engine_threads.
-  core::EngineOptions::Dispatch dispatch =
-      core::EngineOptions::Dispatch::kCentral;
   /// Per-block engine phase window (EngineOptions::max_inflight_phases);
   /// bounds how far a block's own pipeline runs ahead of its slowest
   /// in-flight phase. Cross-block skew is bounded separately by

@@ -163,6 +163,9 @@ TEST(Engine, StatsAccountForWork) {
   EXPECT_EQ(stats.sink_records, 40U);
   EXPECT_GT(stats.wall_seconds, 0.0);
   EXPECT_GT(stats.pairs_per_second(), 0.0);
+  // The central run queue never steals or parks; both counters stay 0.
+  EXPECT_EQ(stats.steals_ok, 0U);
+  EXPECT_EQ(stats.parks, 0U);
 }
 
 TEST(Engine, RequiresAtLeastOneThread) {

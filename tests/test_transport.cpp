@@ -93,8 +93,8 @@ TEST_P(TransportDifferential, MatchesSequentialOnBothChannelKinds) {
       // a phase costs each channel at most one watermark plus one coalesced
       // kDeliveryBatch flush (this corpus never reaches the flush
       // threshold), so total frames are bounded by 2 * phases * channels.
-      // The v1 one-frame-per-delivery wire would blow through this on any
-      // seed whose remote traffic exceeds phases * channels.
+      // One frame per delivery would blow through this on any seed whose
+      // remote traffic exceeds phases * channels.
       const auto& stats = transport.transport_stats();
       const std::uint64_t channels = machines * (machines - 1) / 2;
       EXPECT_GT(stats.watermarks_sent, 0U);
@@ -179,36 +179,6 @@ TEST_P(TransportTwoLevel, WorkerPoolPerBlockMatchesSequential) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransportTwoLevel,
                          ::testing::Range<std::uint64_t>(0, 10));
-
-// The stealing member of the matrix (PR 9): per-block engines running
-// dispatch = kWorkStealing under both channel implementations, with the
-// same sequential-equivalence and frames-per-phase ceiling assertions —
-// cross-partition egress and watermark flushing must be indifferent to
-// which worker's lane executed the boundary pair.
-TEST(TransportTwoLevel, StealingDispatchMatchesSequential) {
-  const core::Program program = testutil::random_program(6);
-  const event::PhaseId phases = 40;
-  for (const ChannelKind kind : kBothKinds) {
-    TransportOptions options;
-    options.machines = 3;
-    options.channel = kind;
-    options.channel_capacity = 8;
-    options.engine_threads = 4;
-    options.dispatch = core::EngineOptions::Dispatch::kWorkStealing;
-    options.max_inflight_phases = 4;
-    TransportEngine transport(program, options);
-    const auto report =
-        trace::check_against_sequential(program, transport, phases);
-    EXPECT_TRUE(report.equivalent)
-        << "channel=" << kind_name(kind) << "\n" << report.summary();
-    const auto& stats = transport.transport_stats();
-    const std::uint64_t channels = 3 * 2 / 2;
-    EXPECT_LE(stats.frames_sent, 2 * phases * channels)
-        << "stealing dispatch broke the batching ceiling";
-    EXPECT_EQ(stats.frames_received, stats.frames_sent);
-    EXPECT_EQ(stats.batched_deliveries, stats.remote_messages);
-  }
-}
 
 // Fault-injected channels under multi-threaded block engines: duplicates,
 // reordering, and delays must interact correctly with the hold-and-patch

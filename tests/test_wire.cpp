@@ -1,7 +1,7 @@
 // Wire-format round-trip and rejection fuzzing (distrib/wire.hpp).
 //
 // Properties, all meant to run under ASan/UBSan in CI:
-//   * every frame the v2 encoder can produce — deliveries, watermarks, and
+//   * every frame the encoder can produce — deliveries, watermarks, and
 //     kDeliveryBatch frames over a randomized delivery corpus — decodes
 //     back to an identical frame, both through the Frame-level decoder and
 //     the streaming BatchReader;
@@ -13,12 +13,14 @@
 //     or read out of bounds — they either decode to *something* (payload
 //     bits are not checksummed) or return a DecodeStatus, but length and
 //     count fields can never trigger giant allocations or overreads;
-//   * cross-version rejection is clean both ways: the v2 decoder rejects
-//     v1 frames with kBadVersion and the v1 decode-compat fixture rejects
-//     v2 frames the same way — no UB, no hang, no partial decode.
+//   * a frame carrying the retired version byte 1 is rejected with
+//     kBadVersion by every decode entry point — no UB, no hang, no partial
+//     decode.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -168,7 +170,7 @@ TEST(WireRoundTrip, BatchReaderStreamsDeliveriesIdentically) {
   }
 }
 
-TEST(WireRoundTrip, ValueLevelHelpersRoundTripBothVersions) {
+TEST(WireRoundTrip, ValueLevelHelpersRoundTrip) {
   support::Rng rng(7);
   std::vector<std::uint8_t> bytes;
   for (int i = 0; i < 2000; ++i) {
@@ -180,46 +182,64 @@ TEST(WireRoundTrip, ValueLevelHelpersRoundTripBothVersions) {
     ASSERT_EQ(decode_value(bytes, cursor, decoded), DecodeStatus::kOk);
     EXPECT_EQ(cursor, bytes.size()) << "decoder left trailing bytes";
     EXPECT_EQ(decoded, value);
-
-    bytes.clear();
-    encode_value_v1(value, bytes);
-    cursor = 0;
-    event::Value decoded_v1;
-    ASSERT_EQ(decode_value_v1(bytes, cursor, decoded_v1), DecodeStatus::kOk);
-    EXPECT_EQ(cursor, bytes.size());
-    EXPECT_EQ(decoded_v1, value);
-
-    // The v2 decoder also speaks the v1 tags (they are a prefix of its tag
-    // space); the v1 decoder must *reject* the dense tags, not misread.
-    cursor = 0;
-    event::Value decoded_compat;
-    ASSERT_EQ(decode_value(bytes, cursor, decoded_compat), DecodeStatus::kOk);
-    EXPECT_EQ(decoded_compat, value);
   }
 }
 
+TEST(WireRoundTrip, FixedWidthTagsRoundTrip) {
+  // Values with no dense form keep the fixed-width tags 0..5 (the
+  // Value::Kind verbatim); the encoder must emit them and the decoder must
+  // read them back exactly.
+  const event::Value values[] = {
+      event::Value(),
+      event::Value(true),
+      event::Value(false),
+      event::Value(-2.5e-300),
+      event::Value(std::numeric_limits<std::int64_t>::min()),
+      event::Value(std::numeric_limits<std::int64_t>::max()),
+      event::Value(std::string(300, 'y')),
+  };
+  std::vector<std::uint8_t> bytes;
+  for (const event::Value& value : values) {
+    bytes.clear();
+    encode_value(value, bytes);
+    ASSERT_FALSE(bytes.empty());
+    EXPECT_EQ(bytes[0], static_cast<std::uint8_t>(value.kind()))
+        << value.to_string();
+    std::size_t cursor = 0;
+    event::Value decoded;
+    ASSERT_EQ(decode_value(bytes, cursor, decoded), DecodeStatus::kOk);
+    EXPECT_EQ(cursor, bytes.size());
+    EXPECT_EQ(decoded, value);
+  }
+  // Vectors always take the dense tag 8, so the fixed tag 5 is decoded from
+  // hand-built bytes: u32 count 1, then one double.
+  bytes = {static_cast<std::uint8_t>(event::Value::Kind::kVector), 1, 0, 0, 0};
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(0.25);
+  for (int shift = 0; shift < 64; shift += 8) {
+    bytes.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  std::size_t cursor = 0;
+  event::Value decoded;
+  ASSERT_EQ(decode_value(bytes, cursor, decoded), DecodeStatus::kOk);
+  EXPECT_EQ(cursor, bytes.size());
+  EXPECT_EQ(decoded, event::Value(std::vector<double>{0.25}));
+}
+
 TEST(WireDensity, DenseEncodingIsSmallerOnCommonSmallValues) {
-  // The whole point of the v2 value encoding: common small payloads cost a
-  // fraction of their v1 size.
+  // The whole point of the dense tags: common small payloads cost a
+  // fraction of their fixed-width size (9 bytes for any int, tag + u32
+  // length + bytes for a string).
   const event::Value small_ints[] = {
       event::Value(0), event::Value(1), event::Value(-1), event::Value(4096)};
-  std::vector<std::uint8_t> v1;
-  std::vector<std::uint8_t> v2;
+  std::vector<std::uint8_t> bytes;
   for (const event::Value& value : small_ints) {
-    v1.clear();
-    v2.clear();
-    encode_value_v1(value, v1);
-    encode_value(value, v2);
-    EXPECT_EQ(v1.size(), 9U);
-    EXPECT_LE(v2.size(), 3U) << value.to_string();
+    bytes.clear();
+    encode_value(value, bytes);
+    EXPECT_LE(bytes.size(), 3U) << value.to_string();
   }
-  v1.clear();
-  v2.clear();
-  const event::Value text(std::string("alert"));
-  encode_value_v1(text, v1);
-  encode_value(text, v2);
-  EXPECT_EQ(v1.size(), 1U + 4U + 5U);
-  EXPECT_EQ(v2.size(), 1U + 1U + 5U);
+  bytes.clear();
+  encode_value(event::Value(std::string("alert")), bytes);
+  EXPECT_EQ(bytes.size(), 1U + 1U + 5U);
 }
 
 TEST(WireDensity, BatchAmortizesTheFrameHeader) {
@@ -237,7 +257,7 @@ TEST(WireDensity, BatchAmortizesTheFrameHeader) {
   std::size_t single_total = 0;
   std::vector<std::uint8_t> bytes;
   for (const core::Delivery& d : deliveries) {
-    encode_delivery_v1(7, 3, d, bytes);
+    encode_delivery(7, 3, d, bytes);
     single_total += bytes.size();
   }
   encode_delivery_batch(7, 3, deliveries, bytes);
@@ -335,7 +355,7 @@ TEST(WireRejection, RandomGarbageNeverCrashesAndValidateAgrees) {
 }
 
 TEST(WireRejection, CorruptedLengthFieldCannotTriggerGiantAllocation) {
-  // A delivery carrying a long (v1-form, u32 length) string whose length
+  // A delivery carrying a long (fixed-width, u32 length) string whose length
   // field is corrupted to a huge value: the decoder must reject before
   // allocating (kTruncated), because the claimed length exceeds the
   // remaining bytes.
@@ -357,7 +377,7 @@ TEST(WireRejection, CorruptedLengthFieldCannotTriggerGiantAllocation) {
   Frame decoded;
   EXPECT_EQ(decode_frame(bytes, decoded), DecodeStatus::kTruncated);
 
-  // Same for a vector count (varint in v2: saturate the count bytes).
+  // Same for a vector count (varint: saturate the count bytes).
   delivery.value = event::Value(std::vector<double>{1.0, 2.0});
   encode_delivery(6, 3, delivery, bytes);
   std::vector<std::uint8_t> huge_count(bytes.begin(), bytes.begin() + 28);
@@ -403,56 +423,21 @@ TEST(WireRejection, CorruptedBatchCountCannotTriggerGiantAllocation) {
 }
 
 TEST(WireVersioning, CrossVersionFramesAreRejectedCleanly) {
+  // Version 1 is retired: a frame whose version byte says 1 must be turned
+  // away by every decode entry point, whatever its type and payload.
   support::Rng rng(29);
-  std::vector<std::uint8_t> v2_bytes;
-  std::vector<std::uint8_t> v1_bytes;
-  for (int i = 0; i < 200; ++i) {
-    // v1 receiver (decode_frame_v1) must reject every v2 frame.
-    const Frame frame = random_frame(rng);
-    encode(frame, v2_bytes);
-    Frame decoded;
-    EXPECT_EQ(decode_frame_v1(v2_bytes, decoded), DecodeStatus::kBadVersion);
-
-    // v2 receiver must reject every v1 frame the same way.
-    if (frame.type == FrameType::kDelivery) {
-      encode_delivery_v1(frame.seq, frame.phase, frame.delivery, v1_bytes);
-    } else {
-      encode_watermark_v1(frame.seq, frame.phase, v1_bytes);
-    }
-    EXPECT_EQ(decode_frame(v1_bytes, decoded), DecodeStatus::kBadVersion);
-    EXPECT_EQ(validate_frame(v1_bytes), DecodeStatus::kBadVersion);
-    BatchReader reader;
-    EXPECT_EQ(reader.open(v1_bytes), DecodeStatus::kBadVersion);
-  }
-}
-
-TEST(WireVersioning, V1FixtureStillRoundTripsItsOwnFrames) {
-  // The v1 path survives as a decode-compat fixture: its own frames must
-  // keep round-tripping exactly, and a batch frame type byte inside a v1
-  // frame is an unknown type to the v1 decoder.
-  support::Rng rng(37);
   std::vector<std::uint8_t> bytes;
-  for (int i = 0; i < 500; ++i) {
-    Frame frame;
-    frame.seq = rng.next_u64();
-    frame.phase = rng.next_below(1 << 20);
-    if (rng.next_bernoulli(0.7)) {
-      frame.type = FrameType::kDelivery;
-      frame.delivery = random_delivery(rng);
-      encode_delivery_v1(frame.seq, frame.phase, frame.delivery, bytes);
-    } else {
-      frame.type = FrameType::kWatermark;
-      encode_watermark_v1(frame.seq, frame.phase, bytes);
-    }
+  for (int i = 0; i < 200; ++i) {
+    encode(random_frame(rng), bytes);
+    bytes[3] = 1;
+    FrameHeader header;
+    EXPECT_EQ(decode_header(bytes, header), DecodeStatus::kBadVersion);
+    EXPECT_EQ(validate_frame(bytes), DecodeStatus::kBadVersion);
     Frame decoded;
-    ASSERT_EQ(decode_frame_v1(bytes, decoded), DecodeStatus::kOk);
-    expect_frames_equal(decoded, frame);
+    EXPECT_EQ(decode_frame(bytes, decoded), DecodeStatus::kBadVersion);
+    BatchReader reader;
+    EXPECT_EQ(reader.open(bytes), DecodeStatus::kBadVersion);
   }
-
-  encode_watermark_v1(1, 2, bytes);
-  bytes[4] = static_cast<std::uint8_t>(FrameType::kDeliveryBatch);
-  Frame decoded;
-  EXPECT_EQ(decode_frame_v1(bytes, decoded), DecodeStatus::kBadFrameType);
 }
 
 TEST(WireRejection, WrongMagicVersionAndTypeAreDistinguished) {
