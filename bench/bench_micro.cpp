@@ -157,10 +157,10 @@ void BM_scheduler_pair_bookkeeping_reuse(benchmark::State& state) {
 }
 BENCHMARK(BM_scheduler_pair_bookkeeping_reuse)->Arg(8)->Arg(64)->Arg(512);
 
-/// The staged-delivery drain path: the same chain workload, but with a
-/// window of phases in flight so each finish_execution_batch call applies
-/// one staged finish per active phase — one frontier/promotion/collect
-/// pass amortized over the whole batch, as in Engine::drain_staged.
+/// The batched apply path: the same chain workload, but with a window of
+/// phases in flight so each finish_execution_batch call applies one finish
+/// per active phase — one frontier/promotion/collect pass amortized over
+/// the whole batch, as when an engine worker applies the share it popped.
 void BM_scheduler_pair_bookkeeping_staged_batch(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   constexpr std::size_t kWindow = 16;
@@ -208,6 +208,49 @@ BENCHMARK(BM_scheduler_pair_bookkeeping_staged_batch)
     ->Arg(8)
     ->Arg(64)
     ->Arg(512);
+
+/// One finish per transition with a deep window (64 phases in flight on a
+/// chain): the pass after each finish should cost only the phases it can
+/// change, not every active phase after it. The rows above run one phase
+/// at a time or touch every phase per batch, so they cannot show this.
+void BM_scheduler_pair_bookkeeping_deep_window(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  constexpr std::size_t kWindow = 64;
+  const graph::Dag dag = graph::chain(n);
+  const graph::Numbering numbering =
+      graph::compute_satisfactory_numbering(dag);
+  std::uint64_t pairs = 0;
+  core::Scheduler scheduler(numbering.m);
+  scheduler.reserve_steady_state(kWindow, kWindow * 2);
+  std::vector<event::InputBundle> bundles(1);
+  // FIFO of issued pairs; the consumed prefix is compacted now and then.
+  std::vector<core::Scheduler::ReadyPair> queue;
+  std::size_t head = 0;
+  std::vector<core::Scheduler::Delivery> deliveries;
+  event::PhaseId phase = 0;
+  for (auto _ : state) {
+    while (scheduler.active_phase_count() < kWindow) {
+      bundles.assign(1, event::InputBundle{});
+      scheduler.start_phase(++phase, std::span(bundles), queue);
+    }
+    core::Scheduler::ReadyPair pair = std::move(queue[head++]);
+    deliveries.clear();
+    if (pair.vertex < n) {
+      deliveries.push_back(
+          core::Scheduler::Delivery{pair.vertex + 1, 0, event::Value(1.0)});
+    }
+    scheduler.finish_execution(pair.vertex, pair.phase, std::span(deliveries),
+                               std::move(pair.bundle), queue);
+    ++pairs;
+    if (head > 4096) {
+      queue.erase(queue.begin(),
+                  queue.begin() + static_cast<std::ptrdiff_t>(head));
+      head = 0;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(pairs));
+}
+BENCHMARK(BM_scheduler_pair_bookkeeping_deep_window)->Arg(64)->Arg(512);
 
 void BM_rng_next_normal(benchmark::State& state) {
   support::Rng rng(1);

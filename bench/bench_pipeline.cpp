@@ -23,9 +23,6 @@ int main(int argc, char** argv) {
   const std::uint64_t phases = flags.get("phases", std::uint64_t{2000});
   const std::uint64_t grain_ns = flags.get("grain_ns", std::uint64_t{2000});
   const std::size_t threads = flags.get("threads", std::uint64_t{2});
-  // staged=0 forces the PR 1 lock-per-pair path; 1 (default) stages
-  // finished pairs in per-worker rings and applies them in batches.
-  const bool staged = flags.get("staged", std::uint64_t{1}) != 0;
 
   std::printf("F1: cross-phase pipelining on the paper's 10-node graph\n");
   std::printf("%s\n", trace::machine_summary().c_str());
@@ -43,7 +40,6 @@ int main(int argc, char** argv) {
     options.threads = threads;
     options.max_inflight_phases = window;
     options.sample_inflight = true;
-    options.staged_deliveries = staged;
     core::Engine engine(program, options);
     engine.run(phases, nullptr);
     const auto stats = engine.stats();
@@ -59,7 +55,6 @@ int main(int argc, char** argv) {
         .config("phases", phases)
         .config("grain_ns", grain_ns)
         .config("threads", static_cast<std::uint64_t>(threads))
-        .config("staged", static_cast<std::uint64_t>(staged ? 1 : 0))
         .config("hw_concurrency",
                 static_cast<std::uint64_t>(
                     std::thread::hardware_concurrency()))
@@ -102,7 +97,6 @@ int main(int argc, char** argv) {
   core::EngineOptions depth5;
   depth5.threads = threads;
   depth5.max_inflight_phases = 5;
-  depth5.staged_deliveries = staged;
   depth5.sample_inflight = true;
   core::Engine engine5(program, depth5);
   engine5.run(phases, nullptr);

@@ -14,8 +14,11 @@
 // ring reaches its steady-state size once and then moves items in place.
 // push_all() enqueues a whole batch of ready pairs under one lock
 // acquisition with a bounded number of wakeups, which is how the engine
-// drains a scheduler transition (see DESIGN.md, "Batched run-queue
-// traffic").
+// drains a scheduler transition, and pop_share() takes a fair share of the
+// queue under one lock acquisition, which is how a worker fills its batch
+// (see DESIGN.md, "Batched run-queue traffic" and "Batched worker loop").
+// Every consumer that wakes takes at least one item, so the k-items-need-
+// at-most-k-wakeups argument below holds for batch pops too.
 //
 // Wakeup discipline (audited for under-wake/lost-wakeup):
 //   * not_empty_: consumers block only while the queue is empty, so k items
@@ -39,6 +42,7 @@
 // concurrency/annotations.hpp for the conventions).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <optional>
@@ -156,47 +160,34 @@ class BlockingQueue {
     return item;
   }
 
-  /// Blocking dequeue with a pre-block hook: like pop(), but runs `pre`
-  /// (with the lock released) every time the queue is observed empty and
-  /// open, before committing to sleep. The hook may push into this very
-  /// queue — the engine drains its staged finish rings there, which can
-  /// enqueue the pairs the caller is about to wait for — so the post-hook
-  /// re-check under the lock is what makes the sleep safe. Replaces the
-  /// old try_pop-then-pop retry: a hit costs one lock acquisition instead
-  /// of two, and the hook is skipped entirely once the queue is closed and
-  /// drained (nothing a drain produces can matter after close — see
-  /// Engine::finish()/~Engine for why both closers guarantee that).
-  template <typename PreBlock>
-  std::optional<T> pop_with_preblock(PreBlock&& pre) {
+  /// Blocking batch dequeue for `share` consumers: waits until an item is
+  /// available or the queue is closed, then appends max(1, count / share)
+  /// items to `out` in FIFO order under one lock acquisition — a fair share
+  /// of what is queued, so a burst spreads across the consumers while a
+  /// lone item still goes to the first one awake. Returns false only when
+  /// the queue is closed and drained (the worker-thread exit condition);
+  /// a closed queue keeps handing out its remaining items first.
+  bool pop_share(std::vector<T>& out, std::size_t share) {
+    DF_CHECK(share >= 1, "pop_share needs at least one sharer");
     UniqueLock lock(mutex_);
-    for (;;) {
-      if (count_ != 0) {
-        T item = take();
-        const bool producers_waiting = waiting_pushers_ != 0;
-        lock.unlock();
-        if (producers_waiting) {
-          not_full_.notify_all();  // heterogeneous batch predicates, see pop()
-        }
-        return item;
-      }
-      if (closed_) {
-        return std::nullopt;  // closed and drained
-      }
-      lock.unlock();
-      pre();
-      lock.lock();
-      if (count_ != 0 || closed_) {
-        continue;  // the hook produced work (or the queue closed meanwhile)
-      }
-      ++waiting_poppers_;
-      while (!(closed_ || count_ != 0)) {
-        not_empty_.wait(lock);
-      }
-      --waiting_poppers_;
-      // Loop: the hit/closed checks at the top consume whatever woke us. A
-      // spurious pass re-runs the hook, which is cheap when idle (a single
-      // atomic threshold check on the engine side).
+    ++waiting_poppers_;
+    while (!(closed_ || count_ != 0)) {
+      not_empty_.wait(lock);
     }
+    --waiting_poppers_;
+    if (count_ == 0) {
+      return false;  // closed and drained
+    }
+    for (std::size_t take_n = std::max<std::size_t>(1, count_ / share);
+         take_n > 0; --take_n) {
+      out.push_back(take());
+    }
+    const bool producers_waiting = waiting_pushers_ != 0;
+    lock.unlock();
+    if (producers_waiting) {
+      not_full_.notify_all();  // heterogeneous batch predicates, see pop()
+    }
+    return true;
   }
 
   /// Non-blocking dequeue.

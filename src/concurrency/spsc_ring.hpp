@@ -1,14 +1,13 @@
 // Single-producer single-consumer lock-free ring buffer.
 //
-// Used by the tracer (each worker thread records scheduler events into its
-// own ring; the report aggregator drains them) and by the engine's staged
-// delivery rings (each worker stages finished-pair records; the current
-// drainer applies them in batches — see DESIGN.md).
+// Used by distrib::InProcessChannel: each channel's frames travel through
+// one ring from its sender thread to its receiver thread (DESIGN.md, "Real
+// transport").
 //
 // "Single consumer" means *one consumer at a time*, not one consumer
 // thread forever: the consumer role may migrate between threads provided
-// the handoff happens through an acquire/release (or stronger) edge — the
-// engine's `draining` flag exchange is exactly that. The same applies to
+// the handoff happens through an acquire/release (or stronger) edge — a
+// mutex handoff or a flag exchange is exactly that. The same applies to
 // the producer role.
 //
 // Debug builds enforce that contract: each side's operations assert they
@@ -57,9 +56,8 @@ class SpscRing {
   bool push(T item) { return try_push(item); }
 
   /// Producer side; moves from `item` only on success, so a caller holding
-  /// an expensive-to-rebuild item (a staged finish with its delivery
-  /// vector) keeps it intact when the ring is full and can fall back to a
-  /// direct path.
+  /// an expensive-to-rebuild item (a frame buffer) keeps it intact when the
+  /// ring is full and can wait and retry.
   bool try_push(T& item) {
     DF_ASSERT_PRODUCER(*this);
     const std::size_t head = head_.load(std::memory_order_relaxed);
@@ -122,7 +120,7 @@ class SpscRing {
 
   /// Transfers the consumer role to the calling thread. Legal only after
   /// a synchronizing handoff with the previous consumer — e.g. winning
-  /// the engine's draining_ exchange.
+  /// an acquire/release flag exchange.
   void adopt_consumer() {
 #ifndef NDEBUG
     consumer_.store(std::this_thread::get_id(), std::memory_order_relaxed);

@@ -4,9 +4,9 @@
 // addressed by the recipient's *internal* (satisfactory-numbering) index.
 // Executors emit vectors of these and the scheduler consumes them verbatim:
 // because both sides agree on the representation, a worker moves the
-// executor's output straight into its staging ring and from there into the
-// scheduler's bundles without per-message copies (see DESIGN.md, "Staged
-// delivery rings").
+// executor's output straight into its batch's finish record and from there
+// into the scheduler's bundles without per-message copies (see DESIGN.md,
+// "Batched worker loop").
 #pragma once
 
 #include <cstdint>

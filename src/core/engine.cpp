@@ -1,7 +1,6 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "core/checkpoint.hpp"
 #include "graph/partition.hpp"
@@ -81,8 +80,9 @@ Engine::~Engine() {
     // abandoning_ check cannot read a stale false. The only other closer is
     // finish(), which runs after every started phase completed, when no
     // nonempty ready batch can exist anymore (an issued-but-unfinished pair
-    // keeps its phase active, so finish() would still be waiting). Staged
-    // finishes left in the rings are simply destroyed with the engine.
+    // keeps its phase active, so finish() would still be waiting). Pairs
+    // still queued at close are executed and applied by the workers before
+    // they exit (close-then-drain); their issued successors are dropped.
     abandoning_.store(true, std::memory_order_release);
     run_queue_.close();
     for (auto& worker : workers_) {
@@ -111,27 +111,9 @@ void Engine::start() {
         std::min<std::size_t>(window, 64),
         std::min<std::size_t>(2 * scheduler_.n(), 65536));
   }
-  // Staging pays off by amortizing lock traffic across workers; with a
-  // single worker there is nothing to contend with, and a per-transition
-  // observer needs the per-pair path for its snapshots.
-  use_staging_ = options_.staged_deliveries && options_.threads > 1 &&
-                 options_.observer == nullptr;
-  // Drain batch target: a couple of pairs per worker, capped so drain
-  // latency stays small relative to the window's refill rate.
-  drain_target_ = std::min<std::size_t>(16, 2 * options_.threads);
-  if (use_staging_) {
-    const std::size_t capacity = std::bit_ceil(
-        std::max<std::size_t>(2, options_.staging_ring_capacity));
-    staging_.reserve(options_.threads);
-    for (std::size_t i = 0; i < options_.threads; ++i) {
-      staging_.push_back(
-          std::make_unique<conc::SpscRing<Scheduler::StagedFinish>>(capacity));
-    }
-    drain_batch_.reserve(options_.threads * capacity);
-  }
   workers_.reserve(options_.threads);
   for (std::size_t i = 0; i < options_.threads; ++i) {
-    workers_.emplace_back([this, i] { worker_main(i); });
+    workers_.emplace_back([this] { worker_main(); });
   }
 }
 
@@ -226,8 +208,8 @@ void Engine::start_phase_bundles(std::vector<event::InputBundle>& bundles,
     conc::UniqueLock lock(mutex_);
     // Backpressure wait. Every transition that shrinks the window is a
     // phase retirement inside retire_completed(), which always advances
-    // completed_through — and both apply paths (per-pair and batched
-    // drain) notify progress_cv_ exactly when that happens, so this wait
+    // completed_through — and apply_batch notifies progress_cv_ exactly
+    // when that happens, so this wait
     // cannot miss a shrink even with max_inflight_phases == 1. Written as
     // an explicit loop (not a wait-with-predicate lambda) because the
     // predicate reads the mutex_-guarded scheduler_.
@@ -310,9 +292,8 @@ void Engine::quiesce() {
   DF_CHECK(started_ && !finished_, "quiesce outside start()/finish()");
   conc::UniqueLock lock(mutex_);
   // Explicit loop: the predicate reads the guarded scheduler_.
-  // Workers apply everything staged before blocking on an empty run queue
-  // (the pre-block hook), so completion of the last started phase is always
-  // reached and notified without caller involvement.
+  // A worker applies its whole batch before it dequeues again, so the last
+  // started phase always completes and is notified without caller help.
   while (!scheduler_.all_started_phases_complete()) {
     progress_cv_.wait(lock);
   }
@@ -407,131 +388,54 @@ void Engine::enqueue_ready(std::vector<Scheduler::ReadyPair>& ready) {
   ready.clear();
 }
 
-void Engine::apply_finish_locked(Scheduler::StagedFinish& staged,
-                                 std::vector<Scheduler::ReadyPair>& ready) {
-  event::PhaseId completed_now = 0;
-  {
-    conc::MutexLock lock(mutex_);
-    const event::PhaseId completed_before = scheduler_.completed_through();
-    scheduler_.finish_execution(
-        staged.vertex, staged.phase,
-        std::span<Scheduler::Delivery>(staged.deliveries),
-        std::move(staged.recycled), ready);
-    if (options_.sample_inflight) {
-      const std::uint64_t active = scheduler_.active_phase_count();
-      inflight_.add(active);
-      inflight_sum_ += active;
-      ++inflight_samples_;
-    }
-    if (options_.observer != nullptr) {
-      options_.observer->on_transition(
-          SchedulerObserver::Transition::kPairFinished, staged.vertex,
-          staged.phase, scheduler_.snapshot());
-    }
-    if (scheduler_.completed_through() != completed_before) {
-      // Phase retirement is the only transition that shrinks the in-flight
-      // window (retire_completed always advances completed_through when it
-      // drops a slot), so this one notify covers both waiters on
-      // progress_cv_: finish() waiting for all phases and start_phase
-      // waiting for window room — including the max_inflight_phases == 1
-      // case, where every retirement must wake the environment.
-      progress_cv_.notify_all();
-      completed_now = scheduler_.completed_through();
-    }
+void Engine::record_inflight_samples(std::size_t pairs) {
+  if (!options_.sample_inflight) {
+    return;
   }
-  // Completion hook outside the lock: it may block (channel send), and it
-  // must never be able to deadlock against engine-internal waiters.
-  if (completed_now != 0 && options_.on_phase_complete) {
-    options_.on_phase_complete(completed_now);
+  // One sample per completed pair keeps the Figure 1 histogram weighted
+  // per completion.
+  const std::uint64_t active = scheduler_.active_phase_count();
+  for (std::size_t i = 0; i < pairs; ++i) {
+    inflight_.add(active);
   }
+  inflight_sum_ += active * pairs;
+  inflight_samples_ += pairs;
 }
 
-std::size_t Engine::drain_staged() {
-  // Ring consumption happens outside the global lock (we are the exclusive
-  // consumer while holding draining_); only the batch application below
-  // takes it, and the moved-from staged shells are destroyed after release.
-  drain_batch_.clear();
-  for (auto& ring : staging_) {
-    // Winning the draining_ exchange was the consumer-role handoff; claim
-    // the role before touching the rings (debug-only SPSC owner check).
-    ring->adopt_consumer();
-    ring->drain([this](Scheduler::StagedFinish&& staged) {
-      drain_batch_.push_back(std::move(staged));
-    });
+event::PhaseId Engine::apply_batch(
+    std::vector<Scheduler::StagedFinish>& batch,
+    std::vector<Scheduler::ReadyPair>& ready) {
+  conc::MutexLock lock(mutex_);
+  const event::PhaseId completed_before = scheduler_.completed_through();
+  if (options_.observer == nullptr) {
+    scheduler_.finish_execution_batch(
+        std::span<Scheduler::StagedFinish>(batch), ready);
+    record_inflight_samples(batch.size());
+  } else {
+    // A tracing observer needs a snapshot per transition: apply the batch
+    // pair by pair, still inside this one lock acquisition.
+    for (Scheduler::StagedFinish& finished : batch) {
+      scheduler_.finish_execution(
+          finished.vertex, finished.phase,
+          std::span<Scheduler::Delivery>(finished.deliveries),
+          std::move(finished.recycled), ready);
+      record_inflight_samples(1);
+      options_.observer->on_transition(
+          SchedulerObserver::Transition::kPairFinished, finished.vertex,
+          finished.phase, scheduler_.snapshot());
+    }
   }
-  if (drain_batch_.empty()) {
+  if (scheduler_.completed_through() == completed_before) {
     return 0;
   }
-  drain_ready_.clear();
-  event::PhaseId completed_now = 0;
-  {
-    conc::MutexLock lock(mutex_);
-    const event::PhaseId completed_before = scheduler_.completed_through();
-    scheduler_.finish_execution_batch(
-        std::span<Scheduler::StagedFinish>(drain_batch_), drain_ready_);
-    if (options_.sample_inflight) {
-      // One sample per drained pair, all taken at the post-batch state:
-      // keeps the Figure 1 histogram weighted per completion.
-      const std::uint64_t active = scheduler_.active_phase_count();
-      for (std::size_t i = 0; i < drain_batch_.size(); ++i) {
-        inflight_.add(active);
-        inflight_sum_ += active;
-      }
-      inflight_samples_ += drain_batch_.size();
-    }
-    if (scheduler_.completed_through() != completed_before) {
-      progress_cv_.notify_all();  // window shrank and/or finish() satisfied
-      completed_now = scheduler_.completed_through();
-    }
-  }
-  const std::size_t drained = drain_batch_.size();
-  staged_pending_.fetch_sub(drained);
-  enqueue_ready(drain_ready_);
-  // Completion hook after the pairs are enqueued, outside mutex_. We still
-  // hold draining_ here, so a blocking hook stalls threshold-1 drain
-  // volunteers in their yield loop — a bounded stall, not a deadlock: the
-  // hook's channel send completes once the downstream machine drains its
-  // ingress, which needs no progress from this engine (see DESIGN.md,
-  // "Two-level parallelism").
-  if (completed_now != 0 && options_.on_phase_complete) {
-    options_.on_phase_complete(completed_now);
-  }
-  return drained;
-}
-
-void Engine::maybe_drain(std::size_t threshold) {
-  for (;;) {
-    if (staged_pending_.load() < threshold) {
-      return;
-    }
-    if (draining_.exchange(true)) {
-      // Someone else holds the drain. A lazy (batch-target) caller can
-      // leave: the holder re-checks staged_pending_ after releasing, and
-      // our increment is seq_cst-ordered before this failed exchange, so
-      // entries at or above the shared target cannot be missed. A
-      // must-drain caller (threshold 1, about to block on the run queue)
-      // cannot rely on that — the holder's re-check uses the *batch*
-      // target and may rightly leave a sub-target residue — so it waits
-      // for the flag and drains the residue itself.
-      if (threshold > 1) {
-        return;
-      }
-      std::this_thread::yield();
-      continue;
-    }
-    // We hold the drain. An entry counted in staged_pending_ may not be
-    // ring-visible for a moment (the producer increments before pushing);
-    // the outer loop simply tries again until the counter agrees.
-    const std::size_t drained = drain_staged();
-    draining_.store(false);
-    // Re-check after release: an entry staged after our ring sweep whose
-    // owner lost the exchange above must not be stranded.
-    if (drained == 0) {
-      // Counted-but-invisible entry: give its producer a chance to finish
-      // the push instead of spinning through a whole timeslice.
-      std::this_thread::yield();
-    }
-  }
+  // Phase retirement is the only transition that shrinks the in-flight
+  // window (retire_completed always advances completed_through when it
+  // drops a slot), so this one notify covers both waiters on progress_cv_:
+  // finish() waiting for all phases and start_phase waiting for window
+  // room — including the max_inflight_phases == 1 case, where every
+  // retirement must wake the environment.
+  progress_cv_.notify_all();
+  return scheduler_.completed_through();
 }
 
 void Engine::route_deliveries(std::vector<Scheduler::Delivery>& deliveries,
@@ -561,88 +465,74 @@ void Engine::route_deliveries(std::vector<Scheduler::Delivery>& deliveries,
   deliveries.resize(keep);
 }
 
-void Engine::worker_main(std::size_t worker_index) {
-  // Listing 1: dequeue, execute outside the lock, then either stage the
-  // finished pair for batched application (staged path) or update the sets
-  // under the lock directly. The ready buffer is reused across iterations;
-  // the executed pair's bundle is recycled into the scheduler's pool, so
-  // the locked bookkeeping path allocates nothing at steady state.
+std::uint64_t Engine::execute_pair(
+    Scheduler::ReadyPair& item, std::vector<Scheduler::StagedFinish>& batch) {
+  support::Stopwatch compute_timer;
+  ExecutionResult result;
+  try {
+    // The scheduler speaks block-local indices; the instance is always the
+    // full program, so execution (module state, rng forks, routing) happens
+    // at the global index — bit-identical to the sequential reference.
+    // offset_ is 0 outside block mode.
+    result = execute_vertex(instance_, item.vertex + offset_, item.phase,
+                            item.bundle);
+  } catch (...) {
+    // Record the first failure and let the pair complete with no output,
+    // so the remaining phases drain and finish() can rethrow cleanly.
+    conc::MutexLock lock(mutex_);
+    if (first_error_ == nullptr) {
+      first_error_ = std::current_exception();
+    }
+    result = ExecutionResult{};
+  }
+  const std::uint64_t compute_ns = compute_timer.elapsed_ns();
+
+  if (!result.sink_records.empty()) {
+    sink_records_.add(result.sink_records.size());
+    sink_target_->record_batch(std::move(result.sink_records));
+  }
+  // Delivered-message accounting is pre-routing: cross-boundary messages
+  // count here and are reclassified remote by the transport's stats fold.
+  messages_delivered_.add(result.deliveries.size());
+  route_deliveries(result.deliveries, item.phase);
+  // The executor's output vector moves straight into the finish record and
+  // the executed bundle goes back to the scheduler's pool: no per-message
+  // repack, no allocation on the locked path at steady state.
+  batch.push_back(Scheduler::StagedFinish{item.vertex, item.phase,
+                                          std::move(result.deliveries),
+                                          std::move(item.bundle)});
+  return compute_ns;
+}
+
+void Engine::worker_main() {
+  // Listing 1 with a per-batch tail: dequeue a fair share of the run queue
+  // under one queue lock, execute it outside every lock, then lock once,
+  // update the sets for the whole batch, unlock, and enqueue what it
+  // issued. The buffers are reused across iterations.
+  std::vector<Scheduler::ReadyPair> items;
+  std::vector<Scheduler::StagedFinish> batch;
   std::vector<Scheduler::ReadyPair> ready;
-  conc::SpscRing<Scheduler::StagedFinish>* ring =
-      use_staging_ ? staging_[worker_index].get() : nullptr;
-  // Pre-block hook: about to block on an empty run queue, apply everything
-  // pending first (threshold 1), so no staged finish — possibly the one
-  // that completes a phase or readies the only runnable pair — waits on a
-  // batch that will never fill. This is what makes the lazy batch target
-  // below safe. The drain may enqueue fresh ready pairs; the queue
-  // re-checks for work after the hook.
-  const auto pre_block = [this, ring] {
-    if (ring != nullptr) {
-      maybe_drain(1);
+  while (run_queue_.pop_share(items, options_.threads)) {
+    support::Stopwatch batch_timer;
+    std::uint64_t compute_ns = 0;
+    for (Scheduler::ReadyPair& item : items) {
+      compute_ns += execute_pair(item, batch);
     }
-  };
-  for (;;) {
-    std::optional<Scheduler::ReadyPair> item =
-        run_queue_.pop_with_preblock(pre_block);
-    if (!item.has_value()) {
-      break;  // closed and drained
+    items.clear();
+    const event::PhaseId completed_now = apply_batch(batch, ready);
+    const std::size_t executed = batch.size();
+    batch.clear();
+    // Feed the pool before the completion hook: the hook may block on a
+    // channel send and must not starve the workers of the pairs just
+    // issued. Both run outside the lock; the hook may not re-enter the
+    // engine.
+    enqueue_ready(ready);
+    compute_ns_.add(compute_ns);
+    bookkeeping_ns_.add(batch_timer.elapsed_ns() - compute_ns);
+    executed_pairs_.add(executed);
+    if (completed_now != 0 && options_.on_phase_complete) {
+      options_.on_phase_complete(completed_now);
     }
-    support::Stopwatch compute_timer;
-    ExecutionResult result;
-    try {
-      // The scheduler speaks block-local indices; the instance is always
-      // the full program, so execution (module state, rng forks, routing)
-      // happens at the global index — bit-identical to the sequential
-      // reference. offset_ is 0 outside block mode.
-      result = execute_vertex(instance_, item->vertex + offset_, item->phase,
-                              item->bundle);
-    } catch (...) {
-      // Record the first failure and let the pair complete with no output,
-      // so the remaining phases drain and finish() can rethrow cleanly.
-      conc::MutexLock lock(mutex_);
-      if (first_error_ == nullptr) {
-        first_error_ = std::current_exception();
-      }
-      result = ExecutionResult{};
-    }
-    compute_ns_.add(compute_timer.elapsed_ns());
-
-    if (!result.sink_records.empty()) {
-      sink_records_.add(result.sink_records.size());
-      sink_target_->record_batch(std::move(result.sink_records));
-    }
-    // Delivered-message accounting is pre-routing: cross-boundary messages
-    // count here and are reclassified remote by the transport's stats fold.
-    messages_delivered_.add(result.deliveries.size());
-
-    support::Stopwatch bookkeeping_timer;
-    route_deliveries(result.deliveries, item->phase);
-    // Deliveries unification: the executor's output vector moves straight
-    // into the staged record — no per-message repack.
-    Scheduler::StagedFinish staged{item->vertex, item->phase,
-                                   std::move(result.deliveries),
-                                   std::move(item->bundle)};
-    if (ring != nullptr) {
-      // Count first, push second: a drainer that sees the count but not
-      // yet the entry spins, whereas the reverse order could let a drain
-      // consume an uncounted entry and underflow the counter.
-      staged_pending_.fetch_add(1);
-      if (ring->try_push(staged)) {
-        maybe_drain(drain_target_);
-      } else {
-        // Ring full: roll the count back and apply this one directly.
-        staged_pending_.fetch_sub(1);
-        ready.clear();
-        apply_finish_locked(staged, ready);
-        enqueue_ready(ready);
-      }
-    } else {
-      ready.clear();
-      apply_finish_locked(staged, ready);
-      enqueue_ready(ready);
-    }
-    bookkeeping_ns_.add(bookkeeping_timer.elapsed_ns());
-    executed_pairs_.add(1);
   }
 }
 

@@ -2,9 +2,9 @@
 //
 // Structure mirrors the paper exactly:
 //   * an arbitrary number of *computation processes* (worker threads), each
-//     an infinite loop: dequeue a ready vertex-phase pair from the run
-//     queue, execute it, lock, update the scheduler's sets, unlock
-//     (Listing 1);
+//     an infinite loop: dequeue ready vertex-phase pairs from the run
+//     queue, execute them, lock, update the scheduler's sets, unlock
+//     (Listing 1, per batch — see below);
 //   * an *environment* that starts phases by injecting source vertex-phase
 //     pairs into the full set (Listing 2). Here the environment runs on the
 //     caller's thread — run() drives it from a PhaseFeed, or the streaming
@@ -20,13 +20,13 @@
 //   * backpressure: the paper's environment "sleeps for some amount of
 //     time"; we bound the number of in-flight phases instead so memory use
 //     is bounded at any event rate;
-//   * staged deliveries: with several workers, an executed pair is not
-//     applied to the sets under the lock by the worker that ran it.
-//     Instead the worker appends a StagedFinish record to its own SPSC
-//     staging ring and one drainer at a time (whoever wins the `draining_`
-//     flag) applies whole batches with a single frontier/promotion/collect
-//     pass, shrinking both the number of lock acquisitions and the work
-//     done per acquisition (DESIGN.md, "Staged delivery rings").
+//   * per-batch tail: a worker dequeues a fair share of the run queue
+//     (max(1, queued / threads) pairs) under one queue lock, executes the
+//     whole batch outside every lock, then takes the global lock once and
+//     applies the batch with a single frontier/promotion/collect pass. One
+//     lock acquisition per batch instead of per pair, and no executed pair
+//     ever waits outside the lock while its worker sleeps (DESIGN.md,
+//     "Batched worker loop").
 #pragma once
 
 #include <atomic>
@@ -41,7 +41,6 @@
 #include "concurrency/annotations.hpp"
 #include "concurrency/blocking_queue.hpp"
 #include "concurrency/sharded_counter.hpp"
-#include "concurrency/spsc_ring.hpp"
 #include "core/executor.hpp"
 #include "core/observer.hpp"
 #include "core/program.hpp"
@@ -59,20 +58,14 @@ struct EngineOptions {
   /// Maximum phases in flight before start_phase blocks; 0 = unbounded.
   std::size_t max_inflight_phases = 64;
   /// Optional set-membership observer (tracing); see core/observer.hpp.
+  /// Batches are then applied one finish_execution per pair, each followed
+  /// by a snapshot, inside the same lock acquisition — the observer still
+  /// sees exactly one kPairFinished per executed pair.
   SchedulerObserver* observer = nullptr;
-  /// When true, records a histogram of in-flight phase counts sampled at
-  /// every pair completion (the Figure 1 pipelining measurement).
+  /// When true, records a histogram of in-flight phase counts, one sample
+  /// per pair completion (the Figure 1 pipelining measurement). Without an
+  /// observer a batch's samples are all taken at its post-batch state.
   bool sample_inflight = false;
-  /// When true (default) and more than one worker runs, finished pairs are
-  /// staged in per-worker SPSC rings and applied to the scheduler in
-  /// batches by a single drainer; false forces the lock-per-pair path. An
-  /// observer also forces the per-pair path (it needs a snapshot per
-  /// transition).
-  bool staged_deliveries = true;
-  /// Per-worker staging-ring capacity; rounded up to a power of two. A
-  /// full ring never blocks a worker — it falls back to applying that pair
-  /// directly under the lock.
-  std::size_t staging_ring_capacity = 256;
 
   /// Restricts the engine to one contiguous block [begin, end] of the
   /// program's satisfactory numbering (the transport's two-level mode: a
@@ -154,10 +147,10 @@ class Engine final : public Executor {
 
   // Checkpointing (crash-restart recovery; DESIGN.md "Crash-restart
   // recovery").
-  /// Blocks until every started phase has completed and every staged finish
-  /// has been applied (workers drain their rings before blocking, so this
-  /// needs no help from the caller). The engine stays running; this is the
-  /// quiescent point snapshots are taken at.
+  /// Blocks until every started phase has completed (a worker applies its
+  /// whole batch before it dequeues again, so nothing executed is ever left
+  /// unapplied and this needs no help from the caller). The engine stays
+  /// running; this is the quiescent point snapshots are taken at.
   void quiesce();
   /// Serializes the block's full execution state into a self-validating
   /// "DFEG" image: the scheduler image (nested "DFSC" blob) plus, for every
@@ -185,26 +178,24 @@ class Engine final : public Executor {
   const ProgramInstance& instance() const { return instance_; }
 
  private:
-  void worker_main(std::size_t worker_index);
-  /// Applies one finished pair under the global lock — the paper's
-  /// Listing 1 tail and the PR 1 hot path; still used when staging is off,
-  /// when a staging ring overflows, and for per-transition observers.
-  void apply_finish_locked(Scheduler::StagedFinish& staged,
-                           std::vector<Scheduler::ReadyPair>& ready);
-  /// Staged path: drain whatever is visible in the staging rings whenever
-  /// at least `threshold` entries are pending and nobody else holds the
-  /// drain flag. The post-release re-check closes the classic stranding
-  /// window: a worker that staged an entry after the current drainer swept
-  /// its ring and then lost the flag race is covered by the drainer's next
-  /// staged_pending_ check. Threshold 1 = drain everything (the mandatory
-  /// pre-block call); the batch target trades a little latency for one
-  /// frontier pass per batch.
-  void maybe_drain(std::size_t threshold);
-  /// One drain pass: pops every visible staged finish (ring consumer side,
-  /// exclusive via draining_), applies the whole batch to the scheduler
-  /// under one short lock acquisition, then enqueues the issued pairs.
-  /// Returns the number of entries applied. Caller holds draining_.
-  std::size_t drain_staged();
+  /// Listing 1, per batch: pop a fair share of the run queue, execute it
+  /// outside every lock, apply it with apply_batch, repeat until the queue
+  /// is closed and drained.
+  void worker_main();
+  /// Executes one dequeued pair outside every lock — sinks recorded,
+  /// deliveries routed, a module exception captured as the run's first
+  /// error with an empty result — and appends its finish record to `batch`.
+  /// Returns the module's compute time in nanoseconds.
+  std::uint64_t execute_pair(Scheduler::ReadyPair& item,
+                             std::vector<Scheduler::StagedFinish>& batch);
+  /// Applies a worker's whole batch under one acquisition of the global
+  /// lock, appending the issued pairs to `ready`. Returns the new
+  /// completed-through value if a phase retired, else 0.
+  event::PhaseId apply_batch(std::vector<Scheduler::StagedFinish>& batch,
+                             std::vector<Scheduler::ReadyPair>& ready);
+  /// With sample_inflight, records `pairs` in-flight samples at the current
+  /// window depth (one per pair just completed).
+  void record_inflight_samples(std::size_t pairs) DF_REQUIRES(mutex_);
   /// Hands every pair to the run queue with one lock acquisition for the
   /// whole batch and clears `ready` so the caller can reuse the buffer.
   void enqueue_ready(std::vector<Scheduler::ReadyPair>& ready);
@@ -269,30 +260,9 @@ class Engine final : public Executor {
   std::atomic<bool> abandoning_{false};
   std::exception_ptr first_error_ DF_GUARDED_BY(mutex_);
 
-  // Staged delivery rings (tentpole of PR 3; DESIGN.md "Staged delivery
-  // rings"). Worker i is the only producer of staging_[i]; the consumer
-  // side of every ring belongs to whoever holds draining_ (the flag
-  // exchange is the acquire/release handoff SpscRing requires).
-  // staged_pending_ counts entries staged but not yet applied; it is
-  // incremented *before* the ring push so a drainer's pending check can
-  // never miss an entry it might also fail to see in the ring (it spins
-  // through the sub-nanosecond publication window instead of exiting).
-  bool use_staging_ = false;  // resolved from options in start()
-  // Staged finishes accumulate until this many are pending before anyone
-  // volunteers to drain, so each drain amortizes its lock acquisition and
-  // frontier pass over a real batch; set in start(). Liveness does not
-  // depend on it: a worker drains everything pending before it blocks.
-  std::size_t drain_target_ = 1;
-  std::vector<std::unique_ptr<conc::SpscRing<Scheduler::StagedFinish>>>
-      staging_;
-  std::atomic<std::size_t> staged_pending_{0};
-  std::atomic<bool> draining_{false};
-  // Drain-pass scratch, reused across drains; owned by the draining_
-  // holder, so unsynchronized access is safe.
-  std::vector<Scheduler::StagedFinish> drain_batch_;
-  std::vector<Scheduler::ReadyPair> drain_ready_;
-
-  // Statistics.
+  // Statistics. bookkeeping_ns_ is timed per batch: the batch's wall time
+  // minus its module compute, so it covers sink recording, routing, the
+  // wait for the global lock, the apply, and the run-queue push.
   conc::ShardedCounter executed_pairs_;
   conc::ShardedCounter messages_delivered_;
   conc::ShardedCounter sink_records_;

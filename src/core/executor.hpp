@@ -66,6 +66,9 @@ class CallbackFeed final : public PhaseFeed {
 
 /// Counters every executor reports. "Bookkeeping" covers scheduler/set
 /// maintenance under the lock; "compute" covers module on_phase bodies.
+/// core::Engine times bookkeeping per worker batch, as the batch's wall
+/// time minus its compute, so there it also includes sink recording,
+/// routing, the wait for the global lock and the run-queue push.
 struct ExecStats {
   std::uint64_t executed_pairs = 0;
   std::uint64_t messages_delivered = 0;
@@ -111,7 +114,7 @@ class Executor {
 struct ExecutionResult {
   /// (to_internal_index, to_port, value) triples, in emission order. The
   /// type is the scheduler's own delivery type (core::Delivery), so engine
-  /// workers move the vector wholesale into a staged finish — no per-pair
+  /// workers move the vector wholesale into a finish record — no per-pair
   /// repack between "what execution produced" and "what the scheduler
   /// applies".
   using Delivery = core::Delivery;

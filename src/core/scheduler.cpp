@@ -163,8 +163,7 @@ void Scheduler::start_phase(event::PhaseId p,
     // may ever reference this phase), and a phase that started with nothing
     // pending retires on the spot. The pass is phase-p-local: p is the
     // newest phase, so no other slot is visited.
-    update_x_from(p);
-    promote_newly_full(p);
+    promote_newly_full(p, update_x_from(p, p));
     retire_completed();
   }
   collect_ready(out_ready);
@@ -223,10 +222,10 @@ void Scheduler::finish_execution(std::uint32_t vertex, event::PhaseId p,
                                  std::vector<ReadyPair>& out_ready) {
   // Listing 1, statements 4-31.
   apply_finish(vertex, p, deliveries, std::move(recycled));
-  // Statements 12-23: recompute the frontier for p and all later phases.
-  update_x_from(p);
-  // Statements 24-26: promote partial pairs within the new frontiers.
-  promote_newly_full(p);
+  // Statements 12-23: recompute the frontier for p and the later phases it
+  // can still move. Statements 24-26: promote partial pairs within the new
+  // frontiers of exactly the phases walked.
+  promote_newly_full(p, update_x_from(p, p));
   // Phases whose frontier reached N are complete; retire from the front.
   retire_completed();
   // Statements 27-30: issue newly ready pairs.
@@ -244,17 +243,18 @@ void Scheduler::finish_execution_batch(std::span<StagedFinish> batch,
   // deferred frontier only under-approximates in between, which every
   // invariant tolerates (see apply_finish).
   event::PhaseId from = batch.front().phase;
+  event::PhaseId newest = from;
   for (StagedFinish& staged : batch) {
     apply_finish(staged.vertex, staged.phase,
                  std::span<Delivery>(staged.deliveries),
                  std::move(staged.recycled));
     from = std::min(from, staged.phase);
+    newest = std::max(newest, staged.phase);
   }
   // One frontier/promotion/retire/collect pass for the whole batch. None of
   // the staged phases can have retired before this point — each kept a
   // pending bit set until its apply above — so `from` is still active.
-  update_x_from(from);
-  promote_newly_full(from);
+  promote_newly_full(from, update_x_from(from, newest));
   retire_completed();
   collect_ready(out_ready);
 }
@@ -269,9 +269,10 @@ std::uint32_t Scheduler::min_pending(PhaseSlot& slot) {
          static_cast<std::uint32_t>(std::countr_zero(slot.pending_bits[w]));
 }
 
-void Scheduler::update_x_from(event::PhaseId from) {
+std::size_t Scheduler::update_x_from(event::PhaseId from,
+                                     event::PhaseId newest) {
   if (ring_count_ == 0) {
-    return;
+    return 0;
   }
   DF_CHECK(from >= first_active_, "updating a retired phase");
   for (std::size_t i = from - first_active_; i < ring_count_; ++i) {
@@ -285,18 +286,26 @@ void Scheduler::update_x_from(event::PhaseId from) {
         i == 0 ? x(slot.id - 1) : slot_at(i - 1).x;
     candidate = std::min(candidate, previous);
     DF_CHECK(candidate >= slot.x, "x must be monotone within a phase");
+    const bool unchanged = candidate == slot.x;
     slot.x = candidate;
+    if (unchanged && slot.id >= newest) {
+      // Every later slot is untouched by this transition, so its candidate
+      // is unchanged, and so is the x it is clamped to: x_{i+1} =
+      // min(candidate_{i+1}, x_i) cannot move.
+      return i + 1;
+    }
   }
+  return ring_count_;
 }
 
-void Scheduler::promote_newly_full(event::PhaseId from) {
+void Scheduler::promote_newly_full(event::PhaseId from, std::size_t end) {
   if (ring_count_ == 0) {
     return;
   }
   const std::size_t start =
       from >= first_active_ ? static_cast<std::size_t>(from - first_active_)
                             : 0;
-  for (std::size_t i = start; i < ring_count_; ++i) {
+  for (std::size_t i = start; i < end; ++i) {
     PhaseSlot& slot = slot_at(i);
     const std::uint32_t bound = m_[slot.x];
     if (bound <= slot.promoted_bound) {

@@ -204,7 +204,8 @@ class Scheduler {
   /// arguments of a finish_execution call, recorded by a worker outside the
   /// global lock. `deliveries` is moved straight from the executor's output
   /// and `recycled` is the executed pair's input bundle (donated back to
-  /// the pool on application). See DESIGN.md, "Staged delivery rings".
+  /// the pool on application). Engine workers apply a whole batch of these
+  /// per lock acquisition; see DESIGN.md, "Batched worker loop".
   struct StagedFinish {
     std::uint32_t vertex = 0;
     event::PhaseId phase = 0;
@@ -409,13 +410,19 @@ class Scheduler {
   /// higher indices than the finishing vertex, which is itself pending).
   std::uint32_t min_pending(PhaseSlot& slot);
 
-  /// Statements 1.12-1.23: recompute x_i for all active phases i >= from,
-  /// clamping to the previous phase's x.
-  void update_x_from(event::PhaseId from);
+  /// Statements 1.12-1.23: recompute x_i for the active phases i >= from,
+  /// clamping to the previous phase's x. `newest` is the newest phase whose
+  /// pending set the transition changed; the walk stops at the first slot
+  /// at or past it whose x did not move, since no later x can move either.
+  /// Returns one past the last slot ordinal walked.
+  std::size_t update_x_from(event::PhaseId from, event::PhaseId newest);
 
   /// Statements 1.24-1.26: move partial pairs with vertex <= m(x_q) into
-  /// full for every active phase q >= from; appends affected vertices.
-  void promote_newly_full(event::PhaseId from);
+  /// full for the active phases from phase `from` up to slot ordinal `end`
+  /// (exclusive) — the slots update_x_from walked; an unwalked slot's x
+  /// and partial set are unchanged, so it has nothing to promote. Appends
+  /// affected vertices.
+  void promote_newly_full(event::PhaseId from, std::size_t end);
 
   /// Statements 1.27-1.30 / 2.16-2.19: for each affected vertex (sorted,
   /// deduplicated), if it has no issued pair and a non-empty full set,

@@ -2,6 +2,7 @@
 // (the paper's run queue), thread pool, SPSC ring, sharded counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <numeric>
@@ -194,6 +195,134 @@ TEST(BlockingQueue, HeterogeneousBatchPushersDoNotLoseWakeups) {
   EXPECT_EQ(consumed.load(), total);
 }
 
+// --- pop_share: the engine workers' batch dequeue --------------------------
+
+std::vector<int> iota_batch(int first, int count) {
+  std::vector<int> items(static_cast<std::size_t>(count));
+  std::iota(items.begin(), items.end(), first);
+  return items;
+}
+
+TEST(BlockingQueuePopShare, FifoInsideAndAcrossBatches) {
+  BlockingQueue<int> queue;
+  std::vector<int> items = iota_batch(0, 10);
+  ASSERT_TRUE(queue.push_all(items));
+  std::vector<int> out;
+  ASSERT_TRUE(queue.pop_share(out, 2));  // 10 / 2 = 5
+  EXPECT_EQ(out, iota_batch(0, 5));
+  ASSERT_TRUE(queue.pop_share(out, 2));  // appends 5 / 2 = 2
+  EXPECT_EQ(out, iota_batch(0, 7));
+  out.clear();
+  ASSERT_TRUE(queue.pop_share(out, 1));  // one sharer takes everything
+  EXPECT_EQ(out, iota_batch(7, 3));
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(BlockingQueuePopShare, ShareArithmetic) {
+  const auto popped = [](int queued, std::size_t share) {
+    BlockingQueue<int> queue;
+    std::vector<int> items = iota_batch(0, queued);
+    EXPECT_TRUE(queue.push_all(items));
+    std::vector<int> out;
+    EXPECT_TRUE(queue.pop_share(out, share));
+    EXPECT_EQ(queue.size(), static_cast<std::size_t>(queued) - out.size());
+    return out.size();
+  };
+  EXPECT_EQ(popped(3, 4), 1U);     // count < share: still one item
+  EXPECT_EQ(popped(4, 4), 1U);     // count == share
+  EXPECT_EQ(popped(1000, 4), 250U);  // count >> share: a fair share
+  EXPECT_EQ(popped(1001, 4), 250U);  // rounds down
+  EXPECT_EQ(popped(17, 1), 17U);   // one sharer: the whole queue
+}
+
+TEST(BlockingQueuePopShare, WaitingPopperWakesOnPushAll) {
+  BlockingQueue<int> queue;
+  std::vector<int> got;
+  bool ok = false;
+  std::thread popper([&] { ok = queue.pop_share(got, 2); });
+  std::vector<int> items = iota_batch(40, 6);
+  ASSERT_TRUE(queue.push_all(items));
+  popper.join();
+  EXPECT_TRUE(ok);
+  // The popper may have woken before or after the whole batch landed; it
+  // always takes a prefix in FIFO order.
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(got, iota_batch(40, static_cast<int>(got.size())));
+}
+
+TEST(BlockingQueuePopShare, CloseThenDrain) {
+  BlockingQueue<int> queue;
+  std::vector<int> items = iota_batch(0, 5);
+  ASSERT_TRUE(queue.push_all(items));
+  queue.close();
+  std::vector<int> out;
+  while (queue.pop_share(out, 2)) {
+  }
+  EXPECT_EQ(out, iota_batch(0, 5));  // closed queues hand out what is left
+  EXPECT_FALSE(queue.pop_share(out, 2));
+
+  // A popper blocked on an empty queue wakes on close and reports false.
+  BlockingQueue<int> empty;
+  bool result = true;
+  std::thread popper([&] {
+    std::vector<int> none;
+    result = empty.pop_share(none, 3);
+  });
+  empty.close();
+  popper.join();
+  EXPECT_FALSE(result);
+}
+
+// Every item exactly once across many batch-popping consumers, with
+// producers mixing single pushes and batches (the engine's traffic shape).
+TEST(BlockingQueuePopShare, MultiConsumerHammerPopsEachItemOnce) {
+  constexpr int kProducers = 3;
+  constexpr int kConsumers = 4;
+  constexpr int kPerProducer = 6000;
+  BlockingQueue<int> queue;
+  std::vector<std::atomic<int>> seen(kProducers * kPerProducer);
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&] {
+      std::vector<int> batch;
+      while (queue.pop_share(batch, kConsumers)) {
+        for (const int item : batch) {
+          seen[static_cast<std::size_t>(item)].fetch_add(1);
+        }
+        batch.clear();
+      }
+    });
+  }
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      std::vector<int> batch;
+      int next = p * kPerProducer;
+      const int end = next + kPerProducer;
+      for (int round = 0; next < end; ++round) {
+        const int size = std::min(1 + round % 9, end - next);
+        if (size == 1) {
+          ASSERT_TRUE(queue.push(next));
+        } else {
+          batch = iota_batch(next, size);
+          ASSERT_TRUE(queue.push_all(batch));
+        }
+        next += size;
+      }
+    });
+  }
+  for (auto& t : producers) {
+    t.join();
+  }
+  queue.close();
+  for (auto& t : consumers) {
+    t.join();
+  }
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    ASSERT_EQ(seen[i].load(), 1) << "item " << i;
+  }
+}
+
 TEST(ThreadPool, RunsSubmittedTasks) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
@@ -299,13 +428,13 @@ TEST(SpscRing, DrainConsumesEverythingVisible) {
 }
 
 // Consumer-role migration: the drain side hops between threads with an
-// acquire/release flag handoff, exactly how the engine's draining_ flag
-// serializes staging-ring consumers. Run under TSan to validate the
-// ordering contract documented in spsc_ring.hpp.
+// acquire/release flag handoff, the role-migration contract documented in
+// spsc_ring.hpp (an in-process channel's receiver may move the same way).
+// Run under TSan to validate the ordering.
 TEST(SpscRing, ConsumerRoleMigratesAcrossThreadsWithHandoff) {
   constexpr int kItems = 50000;
   SpscRing<int> ring(256);
-  std::atomic<bool> draining{false};  // the engine's drain-flag handoff
+  std::atomic<bool> draining{false};  // the consumer-role handoff flag
   std::atomic<int> drained{0};
   std::vector<std::atomic<char>> seen(kItems);
 
@@ -316,7 +445,7 @@ TEST(SpscRing, ConsumerRoleMigratesAcrossThreadsWithHandoff) {
         continue;
       }
       // Winning the exchange is the handoff; announce it to the debug-only
-      // owner check before consuming (mirrors Engine::drain_staged).
+      // owner check before consuming.
       ring.adopt_consumer();
       const std::size_t n = ring.drain([&](int&& v) {
         seen[static_cast<std::size_t>(v)].fetch_add(1);

@@ -4,6 +4,9 @@
 // since the computation is deterministic and serializable.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "model/detectors.hpp"
@@ -61,16 +64,13 @@ TEST(EngineStress, AllConfigurationsProduceIdenticalSinks) {
   const Program program = stress_program(2);
   std::vector<std::vector<SinkRecord>> outputs;
   for (const std::size_t threads : {1UL, 2UL, 5UL}) {
-    for (const std::size_t window : {1UL, 3UL, 0UL /*unbounded*/}) {
-      for (const bool staged : {true, false}) {
-        EngineOptions options;
-        options.threads = threads;
-        options.max_inflight_phases = window;
-        options.staged_deliveries = staged;
-        Engine engine(program, options);
-        engine.run(800, nullptr);
-        outputs.push_back(engine.sinks().canonical());
-      }
+    for (const std::size_t window : {1UL, 3UL, 64UL, 0UL /*unbounded*/}) {
+      EngineOptions options;
+      options.threads = threads;
+      options.max_inflight_phases = window;
+      Engine engine(program, options);
+      engine.run(800, nullptr);
+      outputs.push_back(engine.sinks().canonical());
     }
   }
   for (std::size_t i = 1; i < outputs.size(); ++i) {
@@ -81,26 +81,12 @@ TEST(EngineStress, AllConfigurationsProduceIdenticalSinks) {
   EXPECT_GT(outputs[0].size(), 100U) << "stress workload was trivial";
 }
 
-// A staging ring too small for the workload forces the try_push-failure
-// fallback (apply directly under the lock) to interleave with batched
-// drains; results must be unchanged.
-TEST(EngineStress, TinyStagingRingFallbackMatchesReference) {
-  const Program program = stress_program(1);
-  EngineOptions options;
-  options.threads = 6;
-  options.max_inflight_phases = 16;
-  options.staging_ring_capacity = 2;
-  Engine engine(program, options);
-  const auto report = trace::check_against_sequential(program, engine, 1200);
-  EXPECT_TRUE(report.equivalent) << report.summary();
-}
-
 // Teardown-race regression (the abandoning_/close() ordering audit): an
 // engine destroyed with phases outstanding must let in-flight workers
 // finish their current pair, observe the closed queue, read abandoning_ ==
 // true, and exit — never trip the "run queue closed while work was
-// outstanding" check, deadlock, or crash while staged finishes are still
-// sitting in the delivery rings. Loop many configurations so destruction
+// outstanding" check, deadlock, or crash while queued pairs are still
+// being executed and applied. Loop many configurations so destruction
 // lands at many different points of the pipeline.
 TEST(EngineStress, DestroyMidRunNeverTripsTeardownChecks) {
   const Program program = stress_program(4);
@@ -108,8 +94,6 @@ TEST(EngineStress, DestroyMidRunNeverTripsTeardownChecks) {
     EngineOptions options;
     options.threads = 1 + iter % 5;
     options.max_inflight_phases = 1 + iter % 9;
-    // Exercise both the staged-ring and lock-per-pair teardown paths.
-    options.staged_deliveries = iter % 3 != 0;
     Engine engine(program, options);
     engine.start();
     const int phases = iter % 8;
@@ -124,8 +108,8 @@ TEST(EngineStress, DestroyMidRunNeverTripsTeardownChecks) {
 // proceed when the window has room, and the only transition that makes
 // room is a phase retirement. If any apply path retired a phase without
 // notifying progress_cv_, this configuration would deadlock on the second
-// phase; with staged deliveries the retirement happens inside a batched
-// drain, so this pins the drain path's notify too.
+// phase; the retirement happens inside a worker's batch apply, so this
+// pins that path's notify.
 TEST(EngineStress, SingleInflightWindowSustainsThroughput) {
   const Program program = stress_program(5);
   EngineOptions options;
@@ -136,6 +120,40 @@ TEST(EngineStress, SingleInflightWindowSustainsThroughput) {
   const auto stats = engine.stats();
   EXPECT_EQ(stats.phases_completed, 1500U);
   EXPECT_EQ(stats.max_inflight_phases, 1U);
+}
+
+// A module that throws inside a multi-pair batch: a 16-wide layer becomes
+// ready at once, so with two workers each pops a share of ~8 pairs and some
+// of the throwing pairs sit mid-batch. The failed pairs complete with no
+// output, the rest of the batch is still applied, finish() rethrows, and
+// no pair is lost or executed twice.
+TEST(EngineStress, ThrowMidBatchCompletesEveryPhase) {
+  constexpr std::uint32_t kWidth = 16;
+  constexpr event::PhaseId kPhases = 300;
+  spec::GraphBuilder b;
+  const auto src = b.add("src", model::factory_of<model::CounterSource>());
+  const auto sink = b.add("sum", model::factory_of<model::SumModule>(kWidth));
+  for (std::uint32_t i = 0; i < kWidth; ++i) {
+    const auto mid = b.add_lambda(
+        "mid" + std::to_string(i), [i](model::PhaseContext& ctx) {
+          if (i % 5 == 2 && ctx.phase() % 7 == 3) {
+            throw std::runtime_error("module failure mid-batch");
+          }
+          ctx.emit(0, event::Value(static_cast<double>(ctx.phase())));
+        });
+    b.connect(src, mid);
+    b.connect(mid, sink);
+  }
+  const Program program = std::move(b).build(11);
+  EngineOptions options;
+  options.threads = 2;
+  options.max_inflight_phases = 8;
+  Engine engine(program, options);
+  EXPECT_THROW(engine.run(kPhases, nullptr), std::runtime_error);
+  EXPECT_EQ(engine.completed_phases(), kPhases);
+  // src, every mid vertex and the sum run every phase: a thrower only drops
+  // its own message, and the sum still hears from the other 15.
+  EXPECT_EQ(engine.stats().executed_pairs, kPhases * (kWidth + 2));
 }
 
 TEST(EngineStress, RepeatedRunsOfSameConfigAreBitIdentical) {

@@ -25,7 +25,6 @@
 #include <deque>
 #include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <new>
 #include <set>
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "concurrency/blocking_queue.hpp"
-#include "concurrency/spsc_ring.hpp"
 #include "core/scheduler.hpp"
 #include "graph/generators.hpp"
 #include "graph/numbering.hpp"
@@ -282,9 +280,16 @@ void expect_same_ready(const std::vector<Scheduler::ReadyPair>& flat,
 
 class FlatVsReference : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FlatVsReference, IdenticalSnapshotsAfterEveryTransition) {
-  const std::uint64_t seed = GetParam();
+/// Random interleaving of phase starts and single finishes. A new phase
+/// starts with probability `start_p` per step, and always while fewer than
+/// `min_window` phases are active, so min_window > 0 keeps that many phases
+/// in flight for most of the run — deep enough for the frontier pass's
+/// early stop to skip slots. Returns the deepest window reached.
+std::size_t diff_single_finishes(std::uint64_t seed,
+                                 event::PhaseId total_phases, double start_p,
+                                 std::size_t min_window) {
   support::Rng rng(seed);
+  std::size_t deepest = 0;
 
   const Dag dag = graph::random_dag(
       5 + static_cast<std::uint32_t>(seed % 27), 0.3, rng);
@@ -300,7 +305,6 @@ TEST_P(FlatVsReference, IdenticalSnapshotsAfterEveryTransition) {
     event::InputBundle bundle;  // carried so finish can recycle it
   };
   std::vector<Issued> issued;
-  const event::PhaseId total_phases = 10;
   event::PhaseId started = 0;
 
   const auto absorb = [&](std::vector<Scheduler::ReadyPair> flat_ready,
@@ -313,8 +317,10 @@ TEST_P(FlatVsReference, IdenticalSnapshotsAfterEveryTransition) {
   };
 
   while (started < total_phases || !issued.empty()) {
-    const bool start_now = started < total_phases &&
-                           (issued.empty() || rng.next_bernoulli(0.35));
+    const bool start_now =
+        started < total_phases &&
+        (issued.empty() || flat.active_phase_count() < min_window ||
+         rng.next_bernoulli(start_p));
     if (start_now) {
       ++started;
       // Random payload per source, identical for both schedulers.
@@ -358,33 +364,46 @@ TEST_P(FlatVsReference, IdenticalSnapshotsAfterEveryTransition) {
     }
     EXPECT_EQ(flat.snapshot(), reference.snapshot())
         << "snapshot divergence (seed " << seed << ")";
+    deepest = std::max(deepest, flat.active_phase_count());
   }
 
   EXPECT_TRUE(flat.all_started_phases_complete());
   EXPECT_TRUE(reference.all_started_phases_complete());
   EXPECT_EQ(flat.completed_through(), total_phases);
   EXPECT_EQ(reference.completed_through(), total_phases);
+  return deepest;
+}
+
+TEST_P(FlatVsReference, IdenticalSnapshotsAfterEveryTransition) {
+  diff_single_finishes(GetParam(), 10, 0.35, 0);
+}
+
+TEST_P(FlatVsReference, DeepWindowIdenticalSnapshots) {
+  EXPECT_GE(diff_single_finishes(GetParam(), 48, 0.35, 32), 32U);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsReference,
                          ::testing::Range<std::uint64_t>(0, 25));
 
-// --- layer 1b: staged-delivery differential ---------------------------------
+// --- layer 1b: batched-finish differential ---------------------------------
 //
-// Drives the batched path the engine's delivery rings use: executed pairs
-// are staged into a few simulated per-worker FIFOs and applied in random
-// drain batches through finish_execution_batch, while the node-based
-// reference applies the same finishes one at a time in drain order. After
-// every drain the snapshots must match exactly and the issued ready sets
+// Drives the batched path the engine's workers use: executed pairs are
+// queued into a few simulated per-worker FIFOs and applied in random
+// batches through finish_execution_batch, while the node-based reference
+// applies the same finishes one at a time in batch order. After every
+// batch the snapshots must match exactly and the issued ready sets
 // (including sealed bundle contents) must be identical — the batched
 // frontier may lag only *inside* the call, never across it.
 
 class FlatVsReferenceStaged : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
-  const std::uint64_t seed = GetParam();
+/// Same knobs as diff_single_finishes; returns the deepest window reached.
+std::size_t diff_batched_finishes(std::uint64_t seed,
+                                  event::PhaseId total_phases,
+                                  double start_p, std::size_t min_window) {
   support::Rng rng(seed);
+  std::size_t deepest = 0;
 
   const Dag dag = graph::random_dag(
       6 + static_cast<std::uint32_t>(seed % 23), 0.3, rng);
@@ -406,7 +425,6 @@ TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
   std::array<std::deque<Scheduler::StagedFinish>, kRings> rings;
   std::array<std::deque<Scheduler::StagedFinish>, kRings> rings_ref;
   std::size_t staged_count = 0;
-  const event::PhaseId total_phases = 12;
   event::PhaseId started = 0;
 
   const auto absorb = [&](std::vector<Scheduler::ReadyPair>& flat_ready,
@@ -425,9 +443,9 @@ TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
   std::vector<Scheduler::StagedFinish> batch;
 
   const auto drain = [&](std::size_t limit_per_ring) {
-    // Pop a prefix of every ring (respecting each worker's FIFO order,
-    // like SpscRing::drain) into one batch, apply it to the flat scheduler
-    // in a single call and to the reference pair-by-pair in drain order.
+    // Pop a prefix of every FIFO (respecting each worker's order) into one
+    // batch, apply it to the flat scheduler in a single call and to the
+    // reference pair by pair in batch order.
     batch.clear();
     for (std::size_t r = 0; r < kRings; ++r) {
       const std::size_t take = std::min(limit_per_ring, rings[r].size());
@@ -475,7 +493,8 @@ TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
   while (started < total_phases || !issued.empty() || staged_count > 0) {
     const double roll = rng.next_double();
     if (started < total_phases &&
-        (roll < 0.25 || (issued.empty() && staged_count == 0))) {
+        (roll < start_p || (issued.empty() && staged_count == 0) ||
+         flat.active_phase_count() < min_window)) {
       // Start a phase (goes through the lock directly, as in the engine).
       ++started;
       std::vector<event::InputBundle> bundles(numbering.m[0]);
@@ -521,12 +540,22 @@ TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
                 ? std::numeric_limits<std::size_t>::max()
                 : 1 + static_cast<std::size_t>(rng.next_below(3)));
     }
+    deepest = std::max(deepest, flat.active_phase_count());
   }
 
   EXPECT_TRUE(flat.all_started_phases_complete());
   EXPECT_TRUE(reference.all_started_phases_complete());
   EXPECT_EQ(flat.completed_through(), total_phases);
   EXPECT_EQ(reference.completed_through(), total_phases);
+  return deepest;
+}
+
+TEST_P(FlatVsReferenceStaged, BatchedDrainsMatchPerPairReference) {
+  diff_batched_finishes(GetParam(), 12, 0.25, 0);
+}
+
+TEST_P(FlatVsReferenceStaged, DeepWindowBatchesMatchPerPairReference) {
+  EXPECT_GE(diff_batched_finishes(GetParam(), 48, 0.25, 32), 32U);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatVsReferenceStaged,
@@ -643,9 +672,10 @@ TEST(ZeroAllocation, FanInWithEventBundlesStaysBounded) {
 }
 
 TEST(ZeroAllocation, StagedBatchApplicationDoesNotAllocateUnderLock) {
-  // The engine's drain path: staged finishes accumulate outside the lock
-  // and finish_execution_batch applies them in one critical section. Only
-  // the batched call is measured — batch assembly is off-lock by design.
+  // The engine's worker path: a batch of finishes accumulates outside the
+  // lock and finish_execution_batch applies it in one critical section.
+  // Only the batched call is measured — batch assembly is off-lock by
+  // design.
   support::Rng rng(11);
   const Dag dag = graph::layered(4, 6, 2, rng);
   const Numbering numbering = graph::compute_satisfactory_numbering(dag);
@@ -675,7 +705,7 @@ TEST(ZeroAllocation, StagedBatchApplicationDoesNotAllocateUnderLock) {
                             std::span<event::InputBundle>(bundles), ready);
       ++next_phase;
     } else {
-      // Stage every currently-issued pair, then drain them as one batch.
+      // Finish every currently-issued pair, applied as one batch.
       batch.clear();
       for (auto& pair : queue) {
         Scheduler::StagedFinish staged;
@@ -811,17 +841,15 @@ TEST(ZeroAllocation, MultiThreadStressStaysAllocationFreeUnderLock) {
       << "allocations under the global lock after warm-up";
 }
 
-// --- layer 3: multi-worker staged rings (run under TSan in CI) --------------
+// --- layer 3: the engine's batched worker loop ------------------------------
 //
-// The engine's staged-delivery drain protocol at scheduler level (the
-// eager-drain variant: every stage volunteers, threshold 1): workers
-// execute pairs from a shared run queue, stage finishes into their own
-// SPSC rings, and whoever wins the `draining` flag applies batches under
-// the lock. Exercises the producer/consumer handoff, the increment-before-
-// push accounting, and the post-release re-check against stranded entries.
-// Correctness signal: exactly the expected number of pairs is executed and
-// every phase completes (a stranded staged entry deadlocks the run).
-TEST(StagedRings, MultiWorkerDrainProtocolCompletesEveryPhase) {
+// The engine's worker loop at scheduler level: each worker pops a fair
+// share of the run queue (max(1, queued / workers) pairs), "executes" the
+// batch outside the lock, applies the whole batch under the lock with one
+// finish_execution_batch, and pushes what it issued. Correctness signal:
+// exactly the expected number of pairs is executed and every phase
+// completes (a pair lost between pop and apply deadlocks the run).
+TEST(BatchedWorkerLoop, MultiWorkerShareApplyCompletesEveryPhase) {
   support::Rng rng(13);
   const Dag dag = graph::layered(4, 4, 2, rng);
   const Numbering numbering = graph::compute_satisfactory_numbering(dag);
@@ -838,97 +866,51 @@ TEST(StagedRings, MultiWorkerDrainProtocolCompletesEveryPhase) {
   std::mutex mutex;
   std::condition_variable window_cv;
   conc::BlockingQueue<Scheduler::ReadyPair> run_queue;
-  std::vector<std::unique_ptr<conc::SpscRing<Scheduler::StagedFinish>>>
-      rings;
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    rings.push_back(
-        std::make_unique<conc::SpscRing<Scheduler::StagedFinish>>(64));
-  }
-  std::atomic<std::size_t> staged_pending{0};
-  std::atomic<bool> draining{false};
   std::atomic<std::uint64_t> executed{0};
+  std::atomic<std::uint64_t> multi_pair_batches{0};
 
-  std::vector<Scheduler::StagedFinish> drain_batch;
-  std::vector<Scheduler::ReadyPair> drain_ready;  // guarded by `draining`
-
-  const auto drain_once = [&]() -> std::size_t {
-    drain_batch.clear();
-    for (auto& ring : rings) {
-      // Winning the draining exchange was the consumer handoff; announce
-      // it to the debug-only SPSC owner check (as Engine::drain_staged
-      // does).
-      ring->adopt_consumer();
-      ring->drain([&](Scheduler::StagedFinish&& staged) {
-        drain_batch.push_back(std::move(staged));
-      });
-    }
-    if (drain_batch.empty()) {
-      return 0;
-    }
-    drain_ready.clear();
-    {
-      std::lock_guard lock(mutex);
-      scheduler.finish_execution_batch(
-          std::span<Scheduler::StagedFinish>(drain_batch), drain_ready);
-    }
-    window_cv.notify_all();
-    staged_pending.fetch_sub(drain_batch.size());
-    if (!drain_ready.empty()) {
-      run_queue.push_all(drain_ready);
-    }
-    return drain_batch.size();
-  };
-  const auto maybe_drain = [&] {
-    for (;;) {
-      if (staged_pending.load() == 0) {
-        return;
-      }
-      if (draining.exchange(true)) {
-        return;
-      }
-      const std::size_t drained = drain_once();
-      draining.store(false);
-      if (drained == 0) {
-        std::this_thread::yield();
-      }
-    }
-  };
-
-  const auto worker = [&](std::size_t index) {
-    while (auto item = run_queue.pop()) {
-      Scheduler::StagedFinish staged;
-      staged.vertex = item->vertex;
-      staged.phase = item->phase;
-      for (const std::uint32_t w : succs[item->vertex]) {
-        staged.deliveries.push_back(
-            Scheduler::Delivery{w, 0, event::Value(1.0)});
-      }
-      staged.recycled = std::move(item->bundle);
-      staged_pending.fetch_add(1);
-      while (!rings[index]->try_push(staged)) {
-        maybe_drain();  // ring full: help drain, then retry
-      }
-      maybe_drain();
-      if (executed.fetch_add(1) + 1 == expected_pairs) {
-        // Final pair staged; drain everything left before closing so the
-        // run ends with the scheduler fully settled.
-        while (staged_pending.load() != 0) {
-          maybe_drain();
-          std::this_thread::yield();
+  const auto worker = [&] {
+    std::vector<Scheduler::ReadyPair> items;
+    std::vector<Scheduler::StagedFinish> batch;
+    std::vector<Scheduler::ReadyPair> ready;
+    while (run_queue.pop_share(items, num_threads)) {
+      for (Scheduler::ReadyPair& item : items) {
+        Scheduler::StagedFinish finished;
+        finished.vertex = item.vertex;
+        finished.phase = item.phase;
+        for (const std::uint32_t w : succs[item.vertex]) {
+          finished.deliveries.push_back(
+              Scheduler::Delivery{w, 0, event::Value(1.0)});
         }
-        run_queue.close();
+        finished.recycled = std::move(item.bundle);
+        batch.push_back(std::move(finished));
+      }
+      items.clear();
+      {
+        std::lock_guard lock(mutex);
+        scheduler.finish_execution_batch(
+            std::span<Scheduler::StagedFinish>(batch), ready);
+      }
+      window_cv.notify_all();
+      if (batch.size() > 1) {
+        multi_pair_batches.fetch_add(1);
+      }
+      const std::uint64_t done =
+          executed.fetch_add(batch.size()) + batch.size();
+      batch.clear();
+      if (!ready.empty()) {
+        run_queue.push_all(ready);
+        ready.clear();
+      }
+      if (done == expected_pairs) {
+        run_queue.close();  // the last batch applied: every phase is done
       }
     }
   };
-
-  std::vector<std::thread> threads;
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    threads.emplace_back(worker, i);
-  }
 
   std::vector<event::InputBundle> bundles;
   std::vector<Scheduler::ReadyPair> ready;
-  for (event::PhaseId p = 1; p <= phases; ++p) {
+  const auto start_phase = [&](event::PhaseId p) {
     bundles.clear();
     bundles.resize(numbering.m[0]);
     ready.clear();
@@ -943,6 +925,18 @@ TEST(StagedRings, MultiWorkerDrainProtocolCompletesEveryPhase) {
     if (!ready.empty()) {
       run_queue.push_all(ready);
     }
+  };
+  // Fill the window before any worker runs, so the first pops find a deep
+  // queue and take multi-pair shares whatever the thread timing.
+  for (event::PhaseId p = 1; p <= window; ++p) {
+    start_phase(p);
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < num_threads; ++i) {
+    threads.emplace_back(worker);
+  }
+  for (event::PhaseId p = window + 1; p <= phases; ++p) {
+    start_phase(p);
   }
 
   for (auto& t : threads) {
@@ -954,6 +948,9 @@ TEST(StagedRings, MultiWorkerDrainProtocolCompletesEveryPhase) {
     EXPECT_TRUE(scheduler.all_started_phases_complete());
     EXPECT_EQ(scheduler.completed_through(), phases);
   }
+  // The pre-filled window guarantees shares above one pair; without them
+  // this would not test the batched path at all.
+  EXPECT_GT(multi_pair_batches.load(), 0U);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Tests for the tracer: Figure 3-style set-membership observation.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
 #include "model/sources.hpp"
@@ -39,26 +42,22 @@ core::Program fig3_program() {
   return std::move(b).build(1);
 }
 
-TEST(Tracer, RecordsEveryTransition) {
-  const core::Program program = fig3_program();
-  Tracer tracer;
-  core::EngineOptions options;
-  options.threads = 1;
-  options.observer = &tracer;
-  core::Engine engine(program, options);
-  engine.run(2, nullptr);
+core::Program wide_program() {
+  // One counting source fanned out to eight forwarders: nine pairs per
+  // phase, eight of them ready at the same moment.
+  spec::GraphBuilder b;
+  const auto src = b.add("src", model::factory_of<model::CounterSource>());
+  for (int i = 0; i < 8; ++i) {
+    b.connect(src, b.add("f" + std::to_string(i),
+                         model::factory_of<model::ForwardModule>()));
+  }
+  return std::move(b).build(2);
+}
 
-  const auto steps = tracer.steps();
-  ASSERT_GT(steps.size(), 4U);
-  // First transition: phase 1 initiated.
-  EXPECT_EQ(steps[0].transition,
-            core::SchedulerObserver::Transition::kPhaseStarted);
-  EXPECT_EQ(steps[0].phase, 1U);
-  // Right after the start, both sources are full and ready.
-  EXPECT_EQ(steps[0].snapshot.ready.size(), 2U);
-  EXPECT_EQ(steps[0].snapshot.full.size(), 2U);
-  EXPECT_TRUE(steps[0].snapshot.partial.empty());
-  // Engine transitions = phase starts + pair completions.
+/// Engine transitions = phase starts + pair completions: exactly one
+/// kPairFinished per executed pair.
+void expect_one_finish_per_pair(const std::vector<Tracer::Step>& steps,
+                                const core::Engine& engine) {
   std::size_t finishes = 0;
   for (const auto& step : steps) {
     if (step.transition ==
@@ -67,6 +66,49 @@ TEST(Tracer, RecordsEveryTransition) {
     }
   }
   EXPECT_EQ(finishes, engine.stats().executed_pairs);
+}
+
+// One worker and two: with two, a worker applies a batch of pairs under one
+// lock acquisition, and the observer must still see one kPairFinished (with
+// its own snapshot) per executed pair.
+TEST(Tracer, RecordsEveryTransition) {
+  for (const std::size_t threads : {1UL, 2UL}) {
+    SCOPED_TRACE(threads);
+    const core::Program program = fig3_program();
+    Tracer tracer;
+    core::EngineOptions options;
+    options.threads = threads;
+    options.observer = &tracer;
+    core::Engine engine(program, options);
+    engine.run(2, nullptr);
+
+    const auto steps = tracer.steps();
+    ASSERT_GT(steps.size(), 4U);
+    // First transition: phase 1 initiated.
+    EXPECT_EQ(steps[0].transition,
+              core::SchedulerObserver::Transition::kPhaseStarted);
+    EXPECT_EQ(steps[0].phase, 1U);
+    // Right after the start, both sources are full and ready.
+    EXPECT_EQ(steps[0].snapshot.ready.size(), 2U);
+    EXPECT_EQ(steps[0].snapshot.full.size(), 2U);
+    EXPECT_TRUE(steps[0].snapshot.partial.empty());
+    expect_one_finish_per_pair(steps, engine);
+  }
+}
+
+TEST(Tracer, RecordsEveryTransitionOnAWideRun) {
+  // Many pairs ready at once, so two workers pop multi-pair batches.
+  const core::Program program = wide_program();
+  Tracer tracer(/*max_steps=*/1 << 14);
+  core::EngineOptions options;
+  options.threads = 2;
+  options.max_inflight_phases = 16;
+  options.observer = &tracer;
+  core::Engine engine(program, options);
+  engine.run(200, nullptr);
+  const auto steps = tracer.steps();
+  EXPECT_EQ(steps.size(), 200U * 10U);  // 200 starts + 9 finishes per phase
+  expect_one_finish_per_pair(steps, engine);
 }
 
 TEST(Tracer, RenderShowsFigureLegend) {
