@@ -1,9 +1,8 @@
 // Real partitioned execution over serialized channels (paper section 6;
 // DESIGN.md, "Real transport").
 //
-// Where distrib::ClusterExecutor *simulates* multi-machine execution with a
-// timing model, TransportEngine actually runs one engine per partition
-// block with serialized bytes crossing every boundary:
+// TransportEngine runs one engine per partition block with serialized
+// bytes crossing every boundary:
 //
 //   * the graph is cut into contiguous satisfactory-numbering blocks
 //     (graph::Partitioning); partition engine k owns block k and executes

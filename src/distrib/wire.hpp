@@ -2,9 +2,9 @@
 // transport").
 //
 // The partitioned TransportEngine (distrib/transport.hpp) moves *serialized
-// bytes* between partition engines — unlike the simulated ClusterExecutor,
-// nothing crosses a partition boundary as a live C++ object. This module
-// defines the frame format those bytes follow. All frames share one header:
+// bytes* between partition engines: nothing crosses a partition boundary
+// as a live C++ object. This module defines the frame format those bytes
+// follow. All frames share one header:
 //
 //   offset  size  field
 //   0       3     magic "DFW"
