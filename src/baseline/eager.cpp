@@ -6,7 +6,7 @@
 namespace df::baseline {
 
 EagerExecutor::EagerExecutor(const core::Program& program)
-    : instance_(program) {
+    : instance_(program, core::FusionScope::none()) {
   last_output_.resize(instance_.n() + 1);
   for (std::uint32_t v = 1; v <= instance_.n(); ++v) {
     last_output_[v].resize(instance_.out_port_count(v));

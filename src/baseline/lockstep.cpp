@@ -11,7 +11,7 @@ namespace df::baseline {
 
 LockstepExecutor::LockstepExecutor(const core::Program& program,
                                    std::size_t threads)
-    : instance_(program), threads_(threads) {
+    : instance_(program, core::FusionScope::none()), threads_(threads) {
   DF_CHECK(threads >= 1, "lockstep executor needs at least one thread");
   // Compute topological levels over the internal index space.
   const std::uint32_t n = instance_.n();

@@ -8,7 +8,7 @@
 namespace df::baseline {
 
 SequentialExecutor::SequentialExecutor(const core::Program& program)
-    : instance_(program) {}
+    : instance_(program, core::FusionScope::none()) {}
 
 void SequentialExecutor::run(event::PhaseId num_phases,
                              core::PhaseFeed* feed) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/checkpoint.hpp"
-#include "graph/partition.hpp"
 #include "support/check.hpp"
 #include "support/state_archive.hpp"
 #include "support/stopwatch.hpp"
@@ -12,53 +11,60 @@ namespace df::core {
 
 Engine::BlockPlan Engine::plan_scope(const Program& program,
                                      const EngineOptions& options) {
-  BlockPlan plan;
-  const std::uint32_t n = static_cast<std::uint32_t>(program.numbering.size());
-  if (!options.block.has_value()) {
-    plan.m = program.numbering.m;
-    plan.signal_sources = Scheduler::kAllSources;
-    plan.offset = 0;
-    plan.block_end = n;
-    return plan;
+  const auto n = static_cast<std::uint32_t>(program.numbering.size());
+  std::uint32_t begin = 1;
+  std::uint32_t end = n;
+  std::uint32_t signal_sources = Scheduler::kAllSources;
+  if (options.block.has_value()) {
+    const EngineOptions::BlockScope& scope = *options.block;
+    DF_CHECK(scope.egress != nullptr,
+             "block-scoped engine needs an egress hook");
+    DF_CHECK(scope.begin > scope.end || (scope.begin >= 1 && scope.end <= n),
+             "block [", scope.begin, ", ", scope.end,
+             "] outside internal index range 1..", n);
+    begin = scope.begin;
+    end = scope.end;
+    // The block's environment-signalled sources are exactly the global
+    // sources it owns: global indices [begin, min(end, m[0])], i.e. a local
+    // prefix (sources are one-vertex units numbered like their vertex).
+    // m_loc[0] may be larger (units whose predecessors are all remote are
+    // locally release-0) — those are fed by injected remote deliveries,
+    // never by the environment. An empty block (a machine owning no
+    // vertices) has none, so every phase retires at start and the engine
+    // only paces phase windows / watermark forwarding.
+    const std::uint32_t m0 = program.numbering.m[0];
+    signal_sources =
+        begin <= end && begin <= m0 ? std::min(end, m0) - begin + 1 : 0;
   }
-  const EngineOptions::BlockScope& scope = *options.block;
-  DF_CHECK(scope.egress != nullptr, "block-scoped engine needs an egress hook");
-  if (scope.begin > scope.end) {
-    // Empty block (a machine owning no vertices): zero vertices, zero
-    // signal sources, so every phase retires at start and the engine only
-    // paces phase windows / watermark forwarding.
-    plan.m = {0};
-    plan.signal_sources = 0;
-    plan.offset = scope.begin == 0 ? 0 : scope.begin - 1;
-    plan.block_end = plan.offset;
-    return plan;
-  }
-  DF_CHECK(scope.begin >= 1 && scope.end <= n, "block [", scope.begin, ", ",
-           scope.end, "] outside internal index range 1..", n);
-  plan.m = graph::block_local_m(program.dag, program.numbering, scope.begin,
-                                scope.end);
-  // The block's environment-signalled sources are exactly the global
-  // sources it owns: global indices [begin, min(end, m[0])], i.e. a local
-  // prefix. m_loc[0] may be larger (vertices whose predecessors are all
-  // remote become locally release-0) — those are fed by injected remote
-  // deliveries, never by the environment.
-  const std::uint32_t m0 = program.numbering.m[0];
-  plan.signal_sources =
-      scope.begin <= m0 ? std::min(scope.end, m0) - scope.begin + 1 : 0;
-  plan.offset = scope.begin - 1;
-  plan.block_end = scope.end;
-  return plan;
+  // Paths fuse inside the scope, except under an observer: Figure 3 traces
+  // vertex-level set membership.
+  const FusionScope fusion = options.observer == nullptr
+                                 ? FusionScope{begin, end, options.threads}
+                                 : FusionScope::none();
+  ProgramInstance instance(program, fusion);
+  std::vector<std::uint32_t> m = instance.block_m(begin, end);
+  // An empty block (begin > end, so begin >= 1) has no units; its vertex
+  // and unit offsets agree.
+  const std::uint32_t offset =
+      begin > end ? begin - 1 : instance.unit_of(begin) - 1;
+  const auto block_end = offset + static_cast<std::uint32_t>(m.size() - 1);
+  return BlockPlan{std::move(instance), std::move(m),
+                   signal_sources,      offset,
+                   block_end,           begin,
+                   std::max(end, begin - 1)};
 }
 
 Engine::Engine(const Program& program, EngineOptions options)
-    : Engine(program, options, plan_scope(program, options)) {}
+    : Engine(options, plan_scope(program, options)) {}
 
-Engine::Engine(const Program& program, EngineOptions options, BlockPlan plan)
-    : instance_(program),
+Engine::Engine(EngineOptions options, BlockPlan plan)
+    : instance_(std::move(plan.instance)),
       options_(std::move(options)),
-      scheduler_(plan.m, plan.signal_sources),
+      scheduler_(std::move(plan.m), plan.signal_sources),
       offset_(plan.offset),
-      block_end_(plan.block_end) {
+      block_end_(plan.block_end),
+      first_vertex_(plan.first_vertex),
+      last_vertex_(plan.last_vertex) {
   sink_target_ = options_.block.has_value() && options_.block->sinks != nullptr
                      ? options_.block->sinks
                      : &sinks_;
@@ -133,7 +139,8 @@ void Engine::reserve_source_bundles(
              instance_.name(index), "'");
     // Block mode: the transport routes each event to the block owning its
     // target, so the global index must sit in this block's source prefix;
-    // translate it to the scheduler's local indexing.
+    // translate it to the scheduler's local indexing (a source is its own
+    // unit, with the same index).
     DF_CHECK(index > offset_ && index - offset_ <= scheduler_.source_count(),
              "external event for '", instance_.name(index),
              "' (index ", index, ") is outside this block's source range");
@@ -185,11 +192,16 @@ void Engine::start_phase(const std::vector<event::ExternalEvent>& events,
   // the phase is issued, and additionally DF_CHECKs each target sits above
   // the signal-source prefix (remote senders are lower-numbered than every
   // in-block non-source, so a remote delivery can never target a source).
+  // The wire addresses vertices; a vertex with a remote predecessor always
+  // heads its unit, because fusion never crosses the block boundary.
   for (Scheduler::Delivery& d : remote) {
-    DF_CHECK(d.to_index > offset_ && d.to_index <= block_end_,
-             "remote delivery for index ", d.to_index,
-             " does not belong to block (", offset_, ", ", block_end_, "]");
-    d.to_index -= offset_;
+    DF_CHECK(d.to_index >= first_vertex_ && d.to_index <= last_vertex_,
+             "remote delivery for index ", d.to_index, " does not belong to "
+             "block [", first_vertex_, ", ", last_vertex_, "]");
+    const std::uint32_t unit = instance_.unit_of(d.to_index);
+    DF_CHECK(instance_.head(unit) == d.to_index, "remote delivery for index ",
+             d.to_index, " targets a fused unit past its head");
+    d.to_index = unit - offset_;
   }
   start_phase_bundles(env_bundles_, std::span<Scheduler::Delivery>(remote));
 }
@@ -284,9 +296,22 @@ void Engine::run(event::PhaseId num_phases, PhaseFeed* feed) {
 namespace {
 
 constexpr std::uint32_t kEngineImageMagic = 0x44464547u;  // "DFEG"
-constexpr std::uint32_t kEngineImageVersion = 1;
+constexpr std::uint32_t kEngineImageVersion = 2;
 
 }  // namespace
+
+std::uint64_t Engine::contraction_digest() const {
+  // FNV-1a over the unit count and each unit's head, block-local order.
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto mix = [&digest](std::uint32_t word) {
+    digest = (digest ^ word) * 0x100000001b3ULL;
+  };
+  mix(block_end_ - offset_);
+  for (std::uint32_t unit = offset_ + 1; unit <= block_end_; ++unit) {
+    mix(instance_.head(unit));
+  }
+  return digest;
+}
 
 void Engine::quiesce() {
   DF_CHECK(started_ && !finished_, "quiesce outside start()/finish()");
@@ -306,6 +331,8 @@ std::vector<std::uint8_t> Engine::snapshot_state() {
   std::uint32_t version = kEngineImageVersion;
   ar.u32(magic);
   ar.u32(version);
+  std::uint64_t contraction = contraction_digest();
+  ar.u64(contraction);
   std::vector<std::uint8_t> sched;
   {
     conc::MutexLock lock(mutex_);
@@ -316,8 +343,8 @@ std::vector<std::uint8_t> Engine::snapshot_state() {
   // Module/rng/latest state for every owned vertex, by global index. Read
   // without locks: the quiescent-point precondition guarantees no worker is
   // executing (an issued-but-unfinished pair would keep its phase active).
-  std::uint32_t begin = offset_ + 1;
-  std::uint32_t end = block_end_;
+  std::uint32_t begin = first_vertex_;
+  std::uint32_t end = last_vertex_;
   ar.u32(begin);
   ar.u32(end);
   for (std::uint32_t v = begin; v <= end; ++v) {
@@ -344,6 +371,13 @@ void Engine::restore_state(const std::vector<std::uint8_t>& image) {
   ar.u32(version);
   DF_CHECK(version == kEngineImageVersion,
            "engine checkpoint: unsupported version ", version);
+  // The scheduler section is per unit: it restores only into an engine
+  // that contracted its block the same way.
+  std::uint64_t contraction = 0;
+  ar.u64(contraction);
+  DF_CHECK(contraction == contraction_digest(),
+           "engine checkpoint: image was taken under a different contraction "
+           "of the block into scheduling units");
   std::vector<std::uint8_t> sched;
   ar.sequence(sched,
               [](support::StateArchive& a, std::uint8_t& b) { a.u8(b); });
@@ -355,7 +389,7 @@ void Engine::restore_state(const std::vector<std::uint8_t>& image) {
   std::uint32_t end = 0;
   ar.u32(begin);
   ar.u32(end);
-  DF_CHECK(begin == offset_ + 1 && end == block_end_,
+  DF_CHECK(begin == first_vertex_ && end == last_vertex_,
            "engine checkpoint: block range mismatch");
   for (std::uint32_t v = begin; v <= end; ++v) {
     VertexRuntime& rt = instance_.runtime(v);
@@ -446,13 +480,16 @@ void Engine::route_deliveries(std::vector<Scheduler::Delivery>& deliveries,
   // Split an executed pair's output at the block boundary: deliveries for
   // indices beyond the block leave through the egress hook with their
   // global index intact (the transport routes them by the partition cut);
-  // in-block ones are translated to local indices and compacted to the
+  // in-block ones are translated to local unit indices and compacted to the
   // front so the vector feeds the scheduler unchanged. Runs on worker
   // threads outside every engine lock — the hook does its own locking.
+  // Units beyond the block are single vertices (fusion stops at the
+  // boundary), so the egress index is that vertex's.
   std::size_t keep = 0;
   for (std::size_t i = 0; i < deliveries.size(); ++i) {
     Scheduler::Delivery& d = deliveries[i];
     if (d.to_index > block_end_) {
+      d.to_index = instance_.head(d.to_index);
       options_.block->egress(std::move(d), phase);
       continue;
     }
@@ -465,15 +502,16 @@ void Engine::route_deliveries(std::vector<Scheduler::Delivery>& deliveries,
   deliveries.resize(keep);
 }
 
-std::uint64_t Engine::execute_pair(
-    Scheduler::ReadyPair& item, std::vector<Scheduler::StagedFinish>& batch) {
+std::uint64_t Engine::execute_pair(Scheduler::ReadyPair& item,
+                                   std::vector<Scheduler::StagedFinish>& batch,
+                                   std::uint64_t& executed) {
   support::Stopwatch compute_timer;
   ExecutionResult result;
   try {
-    // The scheduler speaks block-local indices; the instance is always the
-    // full program, so execution (module state, rng forks, routing) happens
-    // at the global index — bit-identical to the sequential reference.
-    // offset_ is 0 outside block mode.
+    // The scheduler speaks block-local unit indices; the instance is always
+    // the full program, so execution (module state, rng forks, routing)
+    // happens at the global unit — bit-identical to the sequential
+    // reference. offset_ is 0 outside block mode.
     result = execute_vertex(instance_, item.vertex + offset_, item.phase,
                             item.bundle);
   } catch (...) {
@@ -484,8 +522,10 @@ std::uint64_t Engine::execute_pair(
       first_error_ = std::current_exception();
     }
     result = ExecutionResult{};
+    result.executed = 1;
   }
   const std::uint64_t compute_ns = compute_timer.elapsed_ns();
+  executed += result.executed;
 
   if (!result.sink_records.empty()) {
     sink_records_.add(result.sink_records.size());
@@ -493,7 +533,7 @@ std::uint64_t Engine::execute_pair(
   }
   // Delivered-message accounting is pre-routing: cross-boundary messages
   // count here and are reclassified remote by the transport's stats fold.
-  messages_delivered_.add(result.deliveries.size());
+  messages_delivered_.add(result.deliveries.size() + result.fused_messages);
   route_deliveries(result.deliveries, item.phase);
   // The executor's output vector moves straight into the finish record and
   // the executed bundle goes back to the scheduler's pool: no per-message
@@ -515,12 +555,12 @@ void Engine::worker_main() {
   while (run_queue_.pop_share(items, options_.threads)) {
     support::Stopwatch batch_timer;
     std::uint64_t compute_ns = 0;
+    std::uint64_t executed = 0;
     for (Scheduler::ReadyPair& item : items) {
-      compute_ns += execute_pair(item, batch);
+      compute_ns += execute_pair(item, batch, executed);
     }
     items.clear();
     const event::PhaseId completed_now = apply_batch(batch, ready);
-    const std::size_t executed = batch.size();
     batch.clear();
     // Feed the pool before the completion hook: the hook may block on a
     // channel send and must not starve the workers of the pairs just

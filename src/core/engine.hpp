@@ -13,6 +13,12 @@
 //   * one global lock guards all scheduler state; module execution happens
 //     outside the lock with the sealed input bundle from the queue item.
 //
+// Scheduling granularity (DESIGN.md, "Operator fusion"): the scheduler's
+// "vertices" are the units of the engine's ProgramInstance — each
+// single-predecessor path of the engine's scope runs as one pair, members
+// in path order — unless the scope has fewer roots than workers or an
+// observer is attached; then every vertex is its own unit.
+//
 // Deviations from the listings, documented in DESIGN.md:
 //   * termination: the paper's loops never exit; we close the run queue
 //     once every started phase has completed, and workers exit on a drained
@@ -60,7 +66,8 @@ struct EngineOptions {
   /// Optional set-membership observer (tracing); see core/observer.hpp.
   /// Batches are then applied one finish_execution per pair, each followed
   /// by a snapshot, inside the same lock acquisition — the observer still
-  /// sees exactly one kPairFinished per executed pair.
+  /// sees exactly one kPairFinished per executed pair. An observed engine
+  /// schedules single vertices (no fusion), so the trace is vertex-level.
   SchedulerObserver* observer = nullptr;
   /// When true, records a histogram of in-flight phase counts, one sample
   /// per pair completion (the Figure 1 pipelining measurement). Without an
@@ -73,10 +80,11 @@ struct EngineOptions {
   /// instantiates the complete ProgramInstance — module state and rng
   /// streams fork by *global* internal index, bit-identical to the
   /// sequential reference — but schedules only the block: its Scheduler
-  /// tables, bitsets and FIFOs are sized and indexed to local indices
-  /// 1..B (B = end - begin + 1) via graph::block_local_m.
+  /// tables, bitsets and FIFOs are sized and indexed to the block's units,
+  /// local indices 1..B, via ProgramInstance::block_m. Paths fuse only
+  /// inside the block.
   ///
-  /// Seam contracts:
+  /// Seam contracts (both in global internal vertex indices):
   ///  * deliveries an executed pair addresses beyond `end` are handed to
   ///    `egress` (global index preserved) instead of entering the
   ///    scheduler — the transport routes them onto the wire;
@@ -161,7 +169,8 @@ class Engine final : public Executor {
   std::vector<std::uint8_t> snapshot_state();
   /// Rebuilds state from a snapshot_state image. Must be called after
   /// start() (reserve_steady_state precedes the first phase) and before any
-  /// start_phase on this engine. Magic, version, checksum, block range, and
+  /// start_phase on this engine. Magic, version, checksum, contraction
+  /// (the image's units must be this engine's), block range, and
   /// scheduler geometry are all validated; failure throws
   /// support::check_error and leaves the engine unusable — discard it and
   /// retry with an older image.
@@ -185,9 +194,11 @@ class Engine final : public Executor {
   /// Executes one dequeued pair outside every lock — sinks recorded,
   /// deliveries routed, a module exception captured as the run's first
   /// error with an empty result — and appends its finish record to `batch`.
-  /// Returns the module's compute time in nanoseconds.
+  /// Adds the modules it ran to `executed` and returns their compute time
+  /// in nanoseconds.
   std::uint64_t execute_pair(Scheduler::ReadyPair& item,
-                             std::vector<Scheduler::StagedFinish>& batch);
+                             std::vector<Scheduler::StagedFinish>& batch,
+                             std::uint64_t& executed);
   /// Applies a worker's whole batch under one acquisition of the global
   /// lock, appending the issued pairs to `ready`. Returns the new
   /// completed-through value if a phase retired, else 0.
@@ -207,26 +218,34 @@ class Engine final : public Executor {
   /// Sizes env_bundles_ and reserves per-source counts for `events`.
   void reserve_source_bundles(const std::vector<event::ExternalEvent>& events);
   /// Block mode: splits an executed pair's deliveries into in-block ones
-  /// (translated global -> local in place, compacted to the vector front)
-  /// and egress ones (handed to the BlockScope::egress hook with their
-  /// global index). No-op pass-through when no block scope is set. Called
+  /// (translated global -> local unit in place, compacted to the vector
+  /// front) and egress ones (handed to the BlockScope::egress hook with
+  /// their global vertex index). No-op pass-through when no block scope is set. Called
   /// from the worker loop outside any engine lock.
   void route_deliveries(std::vector<Scheduler::Delivery>& deliveries,
                         event::PhaseId phase);
 
   /// Scheduling geometry resolved from options before member construction:
-  /// the m-vector the scheduler indexes by (global or block-local), how many
-  /// leading local indices are environment-signalled sources, and the
-  /// local<->global index translation.
+  /// the instance with the scope's paths fused (DESIGN.md, "Operator
+  /// fusion"), the m-vector the scheduler indexes by (over the scope's
+  /// units, block-local in block mode), how many leading local units are
+  /// environment-signalled sources, the local<->global unit translation,
+  /// and the internal-index range of the vertices the engine owns.
   struct BlockPlan {
+    ProgramInstance instance;
     std::vector<std::uint32_t> m;
     std::uint32_t signal_sources = Scheduler::kAllSources;
-    std::uint32_t offset = 0;     // global == local + offset
-    std::uint32_t block_end = 0;  // global index of the last block vertex
+    std::uint32_t offset = 0;     // global unit == local unit + offset
+    std::uint32_t block_end = 0;  // global unit index of the last block unit
+    std::uint32_t first_vertex = 1;
+    std::uint32_t last_vertex = 0;
   };
   static BlockPlan plan_scope(const Program& program,
                               const EngineOptions& options);
-  Engine(const Program& program, EngineOptions options, BlockPlan plan);
+  Engine(EngineOptions options, BlockPlan plan);
+  /// Identifies how the block was contracted into units; checkpoint images
+  /// carry it so one restores only into the same contraction.
+  std::uint64_t contraction_digest() const;
 
   ProgramInstance instance_;
   EngineOptions options_;
@@ -235,7 +254,9 @@ class Engine final : public Executor {
   Scheduler scheduler_ DF_GUARDED_BY(mutex_);
   SinkStore sinks_;
   std::uint32_t offset_ = 0;     // block mode: global == local + offset_
-  std::uint32_t block_end_ = 0;  // block mode: last owned global index
+  std::uint32_t block_end_ = 0;  // last owned global unit index
+  std::uint32_t first_vertex_ = 1;  // owned internal indices, for images
+  std::uint32_t last_vertex_ = 0;   // and the remote-delivery check
   SinkStore* sink_target_ = nullptr;  // where workers record (usually own)
 
   // Environment-thread scratch (start_phase is called by one thread only):

@@ -70,7 +70,10 @@ class CallbackFeed final : public PhaseFeed {
 /// time minus its compute, so there it also includes sink recording,
 /// routing, the wait for the global lock and the run-queue push.
 struct ExecStats {
+  /// Vertex executions (module on_phase runs), whatever the scheduling
+  /// granularity: a fused unit's pair counts each member it ran.
   std::uint64_t executed_pairs = 0;
+  /// Vertex-to-vertex deliveries, including those inside a fused unit.
   std::uint64_t messages_delivered = 0;
   std::uint64_t sink_records = 0;
   std::uint64_t phases_completed = 0;
@@ -108,26 +111,34 @@ class Executor {
   virtual ExecStats stats() const = 0;
 };
 
-/// Result of executing one vertex-phase pair: messages to deliver downstream
-/// (already split per route), sink records, and the raw port-level emissions
-/// (used by the eager baseline to forward last outputs every phase).
+/// Result of executing one unit-phase pair (a single vertex unless the
+/// instance fused a path; see ProgramInstance): messages to deliver to
+/// other units (already split per route), sink records, and the raw
+/// port-level emissions of a one-vertex unit (used by the eager baseline to
+/// forward last outputs every phase).
 struct ExecutionResult {
-  /// (to_internal_index, to_port, value) triples, in emission order. The
-  /// type is the scheduler's own delivery type (core::Delivery), so engine
-  /// workers move the vector wholesale into a finish record — no per-pair
-  /// repack between "what execution produced" and "what the scheduler
-  /// applies".
+  /// (to_unit, to_port, value) triples, in emission order. The type is the
+  /// scheduler's own delivery type (core::Delivery), so engine workers move
+  /// the vector wholesale into a finish record — no per-pair repack between
+  /// "what execution produced" and "what the scheduler applies".
   using Delivery = core::Delivery;
   std::vector<Delivery> deliveries;
   std::vector<SinkRecord> sink_records;
   std::vector<event::Message> emissions;
+  /// Modules run (members of the unit that received input, the head always).
+  std::uint32_t executed = 0;
+  /// Messages passed from one member to the next inside the unit; with
+  /// `deliveries` they make up the pair's vertex-to-vertex deliveries.
+  std::uint32_t fused_messages = 0;
 };
 
-/// Applies the input bundle to the vertex's latest-value table, runs the
-/// module, and routes emissions. Shared by every executor so Δ-semantics are
-/// identical everywhere. Not thread-safe per vertex (executors guarantee a
-/// vertex executes one phase at a time).
-ExecutionResult execute_vertex(ProgramInstance& instance, std::uint32_t index,
+/// Runs unit `unit` for `phase`: applies the input bundle to the head's
+/// latest-value table, runs its module, routes its emissions, then runs each
+/// later member that received a message from the one before it. Shared by
+/// every executor so Δ-semantics are identical everywhere. Not thread-safe
+/// per unit (executors guarantee a unit executes one phase at a time). On an
+/// unfused instance the unit is the vertex with the same internal index.
+ExecutionResult execute_vertex(ProgramInstance& instance, std::uint32_t unit,
                                event::PhaseId phase,
                                const event::InputBundle& bundle);
 

@@ -27,41 +27,6 @@ Partitioning partition_balanced(const Numbering& numbering,
   return partitioning;
 }
 
-std::vector<std::uint32_t> block_local_m(const Dag& dag,
-                                         const Numbering& numbering,
-                                         std::uint32_t begin,
-                                         std::uint32_t end) {
-  if (begin > end) {
-    return {0};  // empty block: n = 0, m(0) = 0
-  }
-  DF_CHECK(begin >= 1 && end <= numbering.size(),
-           "block [", begin, ", ", end, "] outside internal index range");
-  const std::uint32_t b = end - begin + 1;
-  // Prefix-max of the block-local releases (see the header for why the raw
-  // local releases are not monotone and the prefix max is).
-  std::uint32_t running_release = 0;
-  std::vector<std::uint32_t> histogram(b + 1, 0);
-  for (std::uint32_t y = 1; y <= b; ++y) {
-    const VertexId v = numbering.vertex_at[begin + y - 1];
-    std::uint32_t r_loc = 0;
-    for (const Edge& e : dag.in_edges(v)) {
-      const std::uint32_t pred = numbering.index_of[e.from];
-      if (pred >= begin && pred <= end) {
-        r_loc = std::max(r_loc, pred - begin + 1);
-      }
-    }
-    running_release = std::max(running_release, r_loc);
-    ++histogram[running_release];
-  }
-  std::vector<std::uint32_t> m(b + 1, 0);
-  std::uint32_t running = 0;
-  for (std::uint32_t x = 0; x <= b; ++x) {
-    running += histogram[x];
-    m[x] = running;
-  }
-  return m;
-}
-
 Partitioning partition_min_cut(const Dag& dag, const Numbering& numbering,
                                std::size_t blocks, std::uint32_t slack) {
   const std::uint32_t n = numbering.size();

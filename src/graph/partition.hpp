@@ -37,29 +37,6 @@ struct Partitioning {
 Partitioning partition_balanced(const Numbering& numbering,
                                 std::size_t blocks);
 
-/// The m-vector of the numbering *restricted to* the block of global
-/// internal indices [begin, end], in block-local indexing (local index
-/// y == global index begin + y - 1; size end - begin + 2, i.e. m[0..B]).
-///
-/// The restriction drops every predecessor outside the block, so the local
-/// release of local vertex y is r_loc(y) = max local index among in-block
-/// predecessors (0 if none). Unlike the global release sequence, r_loc is
-/// NOT non-decreasing (a vertex whose predecessors are all remote has
-/// r_loc = 0 at any position), so m cannot be read off a histogram of
-/// r_loc directly; instead the prefix maximum R_y = max(r_loc(1..y)) is
-/// non-decreasing by construction and m_loc(x) = |{y : R_y <= x}| is a
-/// valid satisfactory m: monotone, m_loc(x) >= x + 1 for x < B (since
-/// r_loc(y) <= y - 1), and m_loc(B) = B. Promoting local vertex v when
-/// v <= m_loc(x) is sound for block-scoped scheduling because all of v's
-/// in-block predecessors are then finished and all of its remote
-/// predecessors' messages were injected when the phase window opened (the
-/// transport watermark handshake guarantees completeness at phase start).
-/// An empty block (begin > end) yields {0}.
-std::vector<std::uint32_t> block_local_m(const Dag& dag,
-                                         const Numbering& numbering,
-                                         std::uint32_t begin,
-                                         std::uint32_t end);
-
 /// Greedy cut refinement: starting from a balanced partitioning, slides
 /// each boundary within +/- `slack` positions to the location that
 /// minimizes the number of edges crossing it (keeping blocks non-empty).

@@ -35,6 +35,9 @@ class ZScoreDetector final : public Module {
   ZScoreDetector(std::size_t window, double z_threshold,
                  std::size_t min_samples = 8);
   void on_phase(PhaseContext& ctx) override;
+  void persist_state(support::StateArchive& ar) override {
+    stats_.persist(ar);
+  }
 
  private:
   support::WindowedStats stats_;

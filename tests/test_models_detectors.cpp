@@ -46,6 +46,21 @@ TEST(ZScore, SilentOnSteadyStream) {
   EXPECT_TRUE(out.empty());
 }
 
+TEST(ZScore, CheckpointRoundTripKeepsTheWindow) {
+  // 24 phases of noise fill the window before the checkpoint; the spike at
+  // phase 30 stands out only against that history.
+  Script values = script_of(40, [](event::PhaseId p) {
+    return 10.0 + ((p * 7) % 5) * 0.1;
+  });
+  values[29] = event::Value(30.0);
+  const auto run = testutil::checkpoint_round_trip(
+      factory_of<ZScoreDetector>(std::size_t{32}, 3.0, std::size_t{8}),
+      {values}, 24);
+  ASSERT_FALSE(run.uninterrupted.empty());
+  EXPECT_EQ(run.restored, run.uninterrupted);
+  EXPECT_NE(run.unrestored, run.uninterrupted);
+}
+
 TEST(RegressionResidual, FlagsLevelShift) {
   Script script = script_of(60, [](auto p) {
     // Linear trend plus a small deterministic wobble so the residual

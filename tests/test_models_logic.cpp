@@ -102,5 +102,26 @@ TEST(BoolGate, RequiresAtLeastOneInput) {
   EXPECT_THROW(AndGate(0), support::check_error);
 }
 
+TEST(Latch, CheckpointRoundTripKeepsFired) {
+  // Fired in phase 2, checkpointed at 4: a later input must stay silent.
+  const auto run = testutil::checkpoint_round_trip(
+      factory_of<LatchModule>(), {bools({0, 1, 0, 0, 0, 1, 1})}, 4);
+  EXPECT_EQ(run.restored, run.uninterrupted);
+  EXPECT_TRUE(run.uninterrupted.empty());
+  EXPECT_FALSE(run.unrestored.empty());
+}
+
+TEST(OrGate, CheckpointRoundTripKeepsLastOutput) {
+  // The gate reported `true` before the checkpoint at phase 3; repeating
+  // the same inputs afterwards is no change and must stay silent.
+  const auto run = testutil::checkpoint_round_trip(
+      factory_of<OrGate>(std::size_t{2}),
+      {bools({1, 1, 1, 1, 1, 0}), bools({0, 0, 0, 0, 0, 0})}, 3);
+  EXPECT_EQ(run.restored, run.uninterrupted);
+  ASSERT_EQ(run.uninterrupted.size(), 1U);
+  EXPECT_FALSE(run.uninterrupted[0].second.as_bool());
+  EXPECT_NE(run.unrestored, run.uninterrupted);
+}
+
 }  // namespace
 }  // namespace df::model
