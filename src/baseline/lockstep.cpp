@@ -62,7 +62,9 @@ void LockstepExecutor::run(event::PhaseId num_phases, core::PhaseFeed* feed) {
       // Gather the executable vertices of this level.
       std::vector<std::uint32_t> work;
       for (const std::uint32_t v : level) {
-        if (instance_.is_source(v) || pending[v].has_value()) {
+        const bool signalled =
+            instance_.is_source(v) && !instance_.input_driven(v);
+        if (signalled || pending[v].has_value()) {
           work.push_back(v);
         }
       }

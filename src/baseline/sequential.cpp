@@ -34,8 +34,10 @@ void SequentialExecutor::run(event::PhaseId num_phases,
     }
 
     for (std::uint32_t v = 1; v <= n; ++v) {
-      const bool is_source = instance_.is_source(v);
-      if (!is_source && !pending[v].has_value()) {
+      // A source runs on the phase signal alone unless it is input-driven.
+      const bool signalled =
+          instance_.is_source(v) && !instance_.input_driven(v);
+      if (!signalled && !pending[v].has_value()) {
         continue;  // no input changed: execution unnecessary this phase
       }
       const event::InputBundle bundle =

@@ -5,6 +5,9 @@
 // section 2). This executor does exactly that, with Δ-semantics: within a
 // phase it visits vertices in increasing internal index (a topological
 // order), executing sources and any vertex with pending messages.
+// Input-driven sources (Module::needs_phase_signal() == false) run only in
+// phases that bring them an event, exactly as the engine schedules them, so
+// executed_pairs agrees across executors.
 //
 // It is the correctness oracle: the parallel engine is serializable iff its
 // canonical sink stream equals this executor's for every program and feed.

@@ -43,15 +43,22 @@ Engine::BlockPlan Engine::plan_scope(const Program& program,
                                  : FusionScope::none();
   ProgramInstance instance(program, fusion);
   std::vector<std::uint32_t> m = instance.block_m(begin, end);
+  // The signal sources are global indices begin, begin + 1, ...; the
+  // scheduler skips an input-driven one in a phase without its events.
+  std::vector<bool> input_driven(
+      signal_sources == Scheduler::kAllSources ? m[0] : signal_sources);
+  for (std::uint32_t s = 0; s < input_driven.size(); ++s) {
+    input_driven[s] = instance.input_driven(begin + s);
+  }
   // An empty block (begin > end, so begin >= 1) has no units; its vertex
   // and unit offsets agree.
   const std::uint32_t offset =
       begin > end ? begin - 1 : instance.unit_of(begin) - 1;
   const auto block_end = offset + static_cast<std::uint32_t>(m.size() - 1);
-  return BlockPlan{std::move(instance), std::move(m),
-                   signal_sources,      offset,
-                   block_end,           begin,
-                   std::max(end, begin - 1)};
+  return BlockPlan{std::move(instance),     std::move(m),
+                   signal_sources,          std::move(input_driven),
+                   offset,                  block_end,
+                   begin,                   std::max(end, begin - 1)};
 }
 
 Engine::Engine(const Program& program, EngineOptions options)
@@ -60,7 +67,8 @@ Engine::Engine(const Program& program, EngineOptions options)
 Engine::Engine(EngineOptions options, BlockPlan plan)
     : instance_(std::move(plan.instance)),
       options_(std::move(options)),
-      scheduler_(std::move(plan.m), plan.signal_sources),
+      scheduler_(std::move(plan.m), plan.signal_sources,
+                 std::move(plan.input_driven)),
       offset_(plan.offset),
       block_end_(plan.block_end),
       first_vertex_(plan.first_vertex),
@@ -126,9 +134,10 @@ void Engine::start() {
 void Engine::reserve_source_bundles(
     const std::vector<event::ExternalEvent>& events) {
   // Group the batch into per-source input bundles (Listing 2's "phase
-  // signal" is implicit: every source gets a pair, with or without events).
-  // Resolve indices once, then reserve exact per-source counts so each
-  // bundle is built with at most one allocation.
+  // signal" is implicit: every source gets a pair, with or without events,
+  // except an input-driven source without events, which the scheduler
+  // skips). Resolve indices once, then reserve exact per-source counts so
+  // each bundle is built with at most one allocation.
   env_bundles_.clear();
   env_bundles_.resize(scheduler_.source_count());
   env_indices_.clear();

@@ -229,12 +229,14 @@ class Engine final : public Executor {
   /// the instance with the scope's paths fused (DESIGN.md, "Operator
   /// fusion"), the m-vector the scheduler indexes by (over the scope's
   /// units, block-local in block mode), how many leading local units are
-  /// environment-signalled sources, the local<->global unit translation,
-  /// and the internal-index range of the vertices the engine owns.
+  /// environment-signalled sources and which of them are input-driven,
+  /// the local<->global unit translation, and the internal-index range of
+  /// the vertices the engine owns.
   struct BlockPlan {
     ProgramInstance instance;
     std::vector<std::uint32_t> m;
     std::uint32_t signal_sources = Scheduler::kAllSources;
+    std::vector<bool> input_driven;
     std::uint32_t offset = 0;     // global unit == local unit + offset
     std::uint32_t block_end = 0;  // global unit index of the last block unit
     std::uint32_t first_vertex = 1;

@@ -31,6 +31,7 @@ ProgramInstance::ProgramInstance(Program program, FusionScope fusion)
       n_(static_cast<std::uint32_t>(program_.dag.vertex_count())) {
   runtimes_.resize(n_ + 1);
   routes_.resize(n_ + 1);
+  input_driven_.assign(n_ + 1, false);
   const support::Rng root(program_.seed);
   for (std::uint32_t index = 1; index <= n_; ++index) {
     const graph::VertexId orig = program_.numbering.vertex_at[index];
@@ -39,6 +40,8 @@ ProgramInstance::ProgramInstance(Program program, FusionScope fusion)
     DF_CHECK(rt.module != nullptr, "factory for vertex '",
              program_.dag.name(orig), "' returned null");
     rt.rng = root.fork(index);
+    input_driven_[index] = program_.dag.is_source(orig) &&
+                           !rt.module->needs_phase_signal();
     const std::size_t ports = program_.dag.in_port_count(orig);
     rt.latest.resize(ports);
     rt.has_latest.assign(ports, false);

@@ -102,6 +102,11 @@ class ProgramInstance {
   const std::vector<std::uint32_t>& m() const { return m_; }
   std::uint32_t source_count() const { return m_[0]; }
   bool is_source(std::uint32_t index) const { return index <= m_[0]; }
+  /// True iff `index` is a source whose module needs no phase signal
+  /// (Module::needs_phase_signal() == false, read once at construction):
+  /// every executor but the eager baseline skips it in a phase that
+  /// brings it no external event (DESIGN.md, "Input-driven sources").
+  bool input_driven(std::uint32_t index) const { return input_driven_[index]; }
 
   std::uint32_t units() const {
     return static_cast<std::uint32_t>(member_begin_.size() - 2);
@@ -153,6 +158,7 @@ class ProgramInstance {
   std::vector<std::uint32_t> member_begin_;  // [1..units + 1] into members_
   std::vector<std::uint32_t> members_;       // grouped by unit, path order
   std::vector<VertexRuntime> runtimes_;           // [1..n], slot 0 unused
+  std::vector<bool> input_driven_;                // [1..n], slot 0 unused
   std::vector<std::vector<std::vector<Route>>> routes_;  // [index][out_port]
   static const std::vector<Route> kNoRoutes;
 };

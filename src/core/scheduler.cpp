@@ -10,13 +10,19 @@
 namespace df::core {
 
 Scheduler::Scheduler(std::vector<std::uint32_t> m,
-                     std::uint32_t signal_sources)
-    : m_(std::move(m)), n_(static_cast<std::uint32_t>(m_.size() - 1)) {
+                     std::uint32_t signal_sources,
+                     std::vector<bool> input_driven)
+    : m_(std::move(m)),
+      n_(static_cast<std::uint32_t>(m_.size() - 1)),
+      input_driven_(std::move(input_driven)) {
   DF_CHECK(!m_.empty(), "m vector must have at least m(0)");
   DF_CHECK(m_[n_] == n_, "m(N) != N — numbering is not satisfactory");
   signal_sources_ = signal_sources == kAllSources ? m_[0] : signal_sources;
   DF_CHECK(signal_sources_ <= m_[0],
            "signal sources must be a prefix of 1..m(0)");
+  DF_CHECK(input_driven_.empty() || input_driven_.size() == signal_sources_,
+           "need one input-driven flag per signal source");
+  input_driven_.resize(signal_sources_, false);  // no flags: skip nothing
   words_ = (n_ + 1 + 63) / 64;
   vertices_.resize(n_ + 1);
 }
@@ -127,8 +133,14 @@ void Scheduler::start_phase(event::PhaseId p,
   // Signal-source vertices are a prefix 1..S of the index space (the whole
   // 1..m(0) for a full program); each receives its external bundle plus the
   // implicit phase signal, entering the full set directly (x_p = 0 and
-  // 0 < v <= S <= m(0) = m(x_p)).
+  // 0 < v <= S <= m(0) = m(x_p)). An input-driven source without events
+  // would run a no-op, so it makes no pending entry: it is finished.
+  bool skipped = false;
   for (std::uint32_t s = 1; s <= signal_sources_; ++s) {
+    if (input_driven_[s - 1] && bundles[s - 1].empty()) {
+      skipped = true;
+      continue;
+    }
     VertexState& vs = vertices_[s];
     DF_DCHECK(vs.full_empty() || vs.full_phases.back() < p,
               "duplicate phase start");
@@ -156,13 +168,14 @@ void Scheduler::start_phase(event::PhaseId p,
         .push_back(event::Message{d.to_port, std::move(d.value)});
   }
 
-  if (!injected.empty() || signal_sources_ == 0) {
-    // Block-scoped start (see the header): run the full Listing 1 tail now.
-    // Injected vertices whose predecessors are all remote sit at or below
-    // m(x_p) already and must be promoted and issued here (no local finish
-    // may ever reference this phase), and a phase that started with nothing
-    // pending retires on the spot. The pass is phase-p-local: p is the
-    // newest phase, so no other slot is visited.
+  if (skipped || !injected.empty() || signal_sources_ == 0) {
+    // Run the full Listing 1 tail now (see the header). Skipped sources
+    // are finished, so x_p may already pass them; injected vertices whose
+    // predecessors are all remote sit at or below m(x_p) already and must
+    // be promoted and issued here (no local finish may ever reference this
+    // phase); and a phase that started with nothing pending retires on the
+    // spot. The pass is phase-p-local: p is the newest phase, so no other
+    // slot is visited.
     promote_newly_full(p, update_x_from(p, p));
     retire_completed();
   }

@@ -248,12 +248,21 @@ class Scheduler {
   /// global 1..m(0) range clipped to the block — a prefix of the block)
   /// are environment-driven; the rest wake up only when remote deliveries
   /// are injected (the start_phase `injected` span).
+  ///
+  /// `input_driven` is empty (every signal source gets a pair each phase)
+  /// or holds one flag per signal source, index s - 1 for source s: a
+  /// flagged source whose bundle is empty gets no pair in that phase and
+  /// counts as finished from the phase's start (DESIGN.md, "Input-driven
+  /// sources"; ProgramInstance::input_driven supplies the flags).
   explicit Scheduler(std::vector<std::uint32_t> m,
-                     std::uint32_t signal_sources = kAllSources);
+                     std::uint32_t signal_sources = kAllSources,
+                     std::vector<bool> input_driven = {});
 
   /// Environment side (Listing 2 loop body): starts phase pmax+1. Source
   /// vertex i (1-based source ordinal, internal index == ordinal) receives
-  /// source_bundles[i-1] plus the implicit phase signal. Appends pairs that
+  /// source_bundles[i-1] plus the implicit phase signal, unless it is
+  /// input-driven and its bundle is empty: then it gets no pair, and the
+  /// frontier pass below runs at once so x_p can pass it. Appends pairs that
   /// became ready to `out_ready` (which is NOT cleared — the caller owns and
   /// reuses the buffer). `p` must equal pmax() + 1. The bundles are moved
   /// from; the span's backing vector can be reused by the caller.
@@ -266,11 +275,12 @@ class Scheduler {
   /// every target enters partial exactly like an in-graph delivery, before
   /// any local pair of the phase executes. Targets must lie above the
   /// signal-source prefix (remote traffic never addresses a true source).
-  /// When the phase starts with no signal sources, or when injection may
-  /// have completed vertices' bundles (all-remote-predecessor vertices),
-  /// the frontier/promotion/retire/collect pass runs immediately so such
-  /// pairs are issued — and a phase with no work at all retires on the
-  /// spot instead of waiting for a finish_execution that will never come.
+  /// When the phase starts with no signal sources, skips an input-driven
+  /// source, or when injection may have completed vertices' bundles
+  /// (all-remote-predecessor vertices), the frontier/promotion/retire/
+  /// collect pass runs immediately so such pairs are issued — and a phase
+  /// with no work at all retires on the spot instead of waiting for a
+  /// finish_execution that will never come.
   void start_phase(event::PhaseId p, std::span<event::InputBundle> bundles,
                    std::span<Delivery> injected,
                    std::vector<ReadyPair>& out_ready);
@@ -368,6 +378,7 @@ class Scheduler {
   std::vector<std::uint32_t> m_;
   std::uint32_t n_;
   std::uint32_t signal_sources_;  // prefix 1..S gets the phase signal
+  std::vector<bool> input_driven_;  // [s - 1]: skip source s when idle
   std::uint32_t words_;  // bitset words per phase slot
   event::PhaseId pmax_ = 0;
   event::PhaseId completed_through_ = 0;

@@ -78,6 +78,15 @@ class Module {
   /// default no-op. A module that omits mutable state here silently breaks
   /// crash-restart determinism — the crash differential suite is the guard.
   virtual void persist_state(support::StateArchive&) {}
+
+  /// Whether a source running this module needs the per-phase signal
+  /// (paper section 3.1.2). A module returns false only if, in a phase
+  /// without an input message, on_phase emits nothing, changes no state
+  /// and draws no rng: the executors then skip such a source in phases
+  /// whose external bundle is empty (DESIGN.md, "Input-driven sources").
+  /// Wrappers that do not forward this keep the default, so they are
+  /// never skipped.
+  virtual bool needs_phase_signal() const { return true; }
 };
 
 /// Creates a fresh module instance. Executors instantiate their own copies

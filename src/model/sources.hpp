@@ -189,10 +189,12 @@ class ReplaySource final : public Module {
 };
 
 /// Forwards external events injected by the environment (input port 0) to
-/// output port 0. Use with Engine::start_phase / PhaseFeed.
+/// output port 0. Use with Engine::start_phase / PhaseFeed. Input-driven:
+/// a phase without an event runs nothing for it.
 class ExternalPassthroughSource final : public Module {
  public:
   void on_phase(PhaseContext& ctx) override;
+  bool needs_phase_signal() const override { return false; }
 };
 
 }  // namespace df::model

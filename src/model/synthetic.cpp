@@ -9,7 +9,7 @@ BusyWorkSource::BusyWorkSource(std::uint64_t spin_ns, double emit_probability)
 
 void BusyWorkSource::on_phase(PhaseContext& ctx) {
   if (spin_ns_ > 0) {
-    support::spin_for_ns(spin_ns_);
+    support::spin_work_ns(spin_ns_);
   }
   if (ctx.rng().next_bernoulli(emit_probability_)) {
     ctx.emit(0, static_cast<std::int64_t>(ctx.phase()));
@@ -23,7 +23,7 @@ BusyWorkModule::BusyWorkModule(std::uint64_t spin_ns, std::size_t fan_in,
 
 void BusyWorkModule::on_phase(PhaseContext& ctx) {
   if (spin_ns_ > 0) {
-    support::spin_for_ns(spin_ns_);
+    support::spin_work_ns(spin_ns_);
   }
   double sum = 0.0;
   bool any = false;

@@ -4,8 +4,9 @@
 // thread counts and predicts near-linear speedup "as long as the
 // computations performed by the vertices take significantly more time than
 // the computations performed to maintain the data structures". BusyWork
-// makes that grain explicit: each execution spins for a configurable number
-// of nanoseconds before forwarding.
+// makes that grain explicit: each execution spins through a fixed amount of
+// work, calibrated once per process to a configurable number of nanoseconds
+// of CPU time (support::spin_work_ns), before forwarding.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +15,8 @@
 
 namespace df::model {
 
-/// Source that spins for `spin_ns` and emits the phase number every phase
-/// with probability `emit_probability`.
+/// Source that spins through `spin_ns` of calibrated work and emits the
+/// phase number every phase with probability `emit_probability`.
 class BusyWorkSource final : public Module {
  public:
   explicit BusyWorkSource(std::uint64_t spin_ns,
@@ -27,8 +28,9 @@ class BusyWorkSource final : public Module {
   double emit_probability_;
 };
 
-/// Interior vertex: spins for `spin_ns` on every execution, then forwards
-/// the sum of its changed inputs with probability `emit_probability`.
+/// Interior vertex: spins through `spin_ns` of calibrated work on every
+/// execution, then forwards the sum of its changed inputs with probability
+/// `emit_probability`.
 class BusyWorkModule final : public Module {
  public:
   BusyWorkModule(std::uint64_t spin_ns, std::size_t fan_in,

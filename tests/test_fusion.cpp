@@ -1,13 +1,16 @@
 // Operator fusion (DESIGN.md, "Operator fusion"): the contraction rule on
 // hand-built graphs, the width guard, the vertex-granular observer, the
 // checkpoint contraction check, and the differential suite over
-// random_path_program on the engine and the partitioned transport.
+// random_path_program on the engine and the partitioned transport. Also the
+// skip of event-less input-driven sources (DESIGN.md, "Input-driven
+// sources") on the sensor program, where both cut the scheduler's pairs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
 #include <vector>
 
+#include "baseline/lockstep.hpp"
 #include "baseline/sequential.hpp"
 #include "core/engine.hpp"
 #include "core/program.hpp"
@@ -407,6 +410,322 @@ TEST_P(FusionDifferential, TransportRecoversFromACrashExactly) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FusionDifferential,
                          ::testing::Range<std::uint64_t>(0, 8));
+
+// --- input-driven sources -------------------------------------------------------
+
+using Batches = std::vector<std::vector<event::ExternalEvent>>;
+
+/// External events for sensor_program: each phase a quarter of the sensors
+/// (chosen by a seeded rng) report a reading, the rest stay silent.
+Batches quarter_firing(const Program& program, std::uint32_t sensors,
+                       event::PhaseId phases, std::uint64_t seed) {
+  support::Rng rng(seed);
+  Batches batches(phases);
+  for (auto& batch : batches) {
+    std::vector<std::uint32_t> order(sensors);
+    for (std::uint32_t i = 0; i < sensors; ++i) {
+      order[i] = i;
+    }
+    for (std::uint32_t i = 0; i < sensors / 4; ++i) {
+      std::swap(order[i], order[i + rng.next_below(sensors - i)]);
+      batch.push_back(event::ExternalEvent{
+          program.dag.vertex("sensor" + std::to_string(order[i])), 0,
+          event::Value(rng.next_normal(10.0, 1.0))});
+    }
+  }
+  return batches;
+}
+
+/// The sensor sources' modules behind a wrapper that forwards on_phase and
+/// persist_state but not needs_phase_signal.
+Program with_opaque_sources(Program program) {
+  class Opaque final : public model::Module {
+   public:
+    explicit Opaque(std::unique_ptr<model::Module> inner)
+        : inner_(std::move(inner)) {}
+    void on_phase(model::PhaseContext& ctx) override { inner_->on_phase(ctx); }
+    void persist_state(support::StateArchive& ar) override {
+      inner_->persist_state(ar);
+    }
+
+   private:
+    std::unique_ptr<model::Module> inner_;
+  };
+  for (graph::VertexId v = 0; v < program.dag.vertex_count(); ++v) {
+    if (program.dag.is_source(v)) {
+      program.factories[v] = [inner = program.factories[v]] {
+        return std::make_unique<Opaque>(inner());
+      };
+    }
+  }
+  return program;
+}
+
+/// Drives `instance` through `scheduler` single-threaded, up to 8 phases in
+/// flight, applying each wave of ready pairs as one batch; returns the
+/// pairs issued and leaves the sinks in `sinks`.
+std::uint64_t replay_pairs(ProgramInstance& instance, Scheduler& scheduler,
+                           const Batches& batches, SinkStore& sinks) {
+  std::vector<event::InputBundle> bundles;
+  std::vector<Scheduler::ReadyPair> ready;
+  std::vector<Scheduler::StagedFinish> batch;
+  std::uint64_t pairs = 0;
+  event::PhaseId next = 1;
+  while (next <= batches.size() || !scheduler.all_started_phases_complete()) {
+    while (next <= batches.size() && scheduler.active_phase_count() < 8) {
+      bundles.assign(scheduler.source_count(), {});
+      for (const event::ExternalEvent& ev : batches[next - 1]) {
+        bundles[instance.internal_index(ev.vertex) - 1].push_back(
+            event::Message{ev.port, ev.value});
+      }
+      scheduler.start_phase(next, bundles, ready);
+      ++next;
+    }
+    if (ready.empty()) {
+      // Every issued pair is applied below, so nothing can be in flight.
+      DF_CHECK(scheduler.all_started_phases_complete(),
+               "replay stalled with phases in flight");
+      continue;  // every started phase retired at its start
+    }
+    batch.clear();
+    for (Scheduler::ReadyPair& pair : ready) {
+      ExecutionResult result =
+          execute_vertex(instance, pair.vertex, pair.phase, pair.bundle);
+      sinks.record_batch(std::move(result.sink_records));
+      batch.push_back(Scheduler::StagedFinish{pair.vertex, pair.phase,
+                                              std::move(result.deliveries),
+                                              std::move(pair.bundle)});
+    }
+    pairs += batch.size();
+    ready.clear();
+    scheduler.finish_execution_batch(batch, ready);
+  }
+  return pairs;
+}
+
+std::vector<bool> input_driven_flags(const ProgramInstance& instance) {
+  std::vector<bool> flags(instance.source_count());
+  for (std::uint32_t s = 1; s <= instance.source_count(); ++s) {
+    flags[s - 1] = instance.input_driven(s);
+  }
+  return flags;
+}
+
+TEST(InputDriven, SensorGraphNeedsAboutTwentyFourPairsPerPhase) {
+  // perfbench's sensor graph: 64 sensors in 8 groups, 16 firing per phase.
+  constexpr event::PhaseId kSensorPhases = 400;
+  const Program program = sensor_program(64, 8);
+  const Batches batches = quarter_firing(program, 64, kSensorPhases, 5);
+  baseline::SequentialExecutor reference(program);
+  VectorFeed feed(batches);
+  reference.run(kSensorPhases, &feed);
+
+  ProgramInstance every(program);
+  ProgramInstance skipping(program);
+  ASSERT_EQ(skipping.units(), 81U);  // 64 chains, 8 gates, 8 sums, the `or`
+  Scheduler all_sources(every.m());
+  Scheduler fired_only(skipping.m(), Scheduler::kAllSources,
+                       input_driven_flags(skipping));
+  SinkStore every_sinks;
+  SinkStore skipping_sinks;
+  const std::uint64_t before =
+      replay_pairs(every, all_sources, batches, every_sinks);
+  const std::uint64_t after =
+      replay_pairs(skipping, fired_only, batches, skipping_sinks);
+
+  // Exactly the 48 silent sensors per phase go; every other pair stays.
+  EXPECT_EQ(before - after, 48U * kSensorPhases);
+  const double per_phase = static_cast<double>(after) / kSensorPhases;
+  RecordProperty("pairs_per_phase_before",
+                 std::to_string(static_cast<double>(before) / kSensorPhases));
+  RecordProperty("pairs_per_phase_after", std::to_string(per_phase));
+  EXPECT_GT(static_cast<double>(before) / kSensorPhases, 70.0);
+  EXPECT_LE(per_phase, 25.0);
+  EXPECT_GE(per_phase, 16.0);
+  EXPECT_EQ(skipping_sinks.canonical(), reference.sinks().canonical());
+  EXPECT_EQ(every_sinks.canonical(), reference.sinks().canonical());
+}
+
+TEST(InputDriven, EventlessPhaseRetiresInsideStartPhase) {
+  const Program program = sensor_program(16, 4);
+  ProgramInstance instance(program);
+  Scheduler scheduler(instance.m(), Scheduler::kAllSources,
+                      input_driven_flags(instance));
+  std::vector<event::InputBundle> bundles(instance.source_count());
+  std::vector<Scheduler::ReadyPair> ready;
+
+  // Nothing fires and nothing is in flight: the phase is over at its start.
+  scheduler.start_phase(1, bundles, ready);
+  EXPECT_TRUE(ready.empty());
+  EXPECT_EQ(scheduler.completed_through(), 1U);
+  EXPECT_TRUE(scheduler.all_started_phases_complete());
+
+  // Phase 2 carries one event; phase 3 none. Phase 3 has no pair of its own
+  // but cannot overtake phase 2, so it retires with phase 2's last finish.
+  const std::uint32_t sensor =
+      instance.internal_index(program.dag.vertex("sensor3"));
+  bundles.assign(instance.source_count(), {});
+  bundles[sensor - 1].push_back(event::Message{0, event::Value(1.0)});
+  scheduler.start_phase(2, bundles, ready);
+  ASSERT_EQ(ready.size(), 1U);
+  EXPECT_EQ(ready[0].vertex, sensor);
+  bundles.assign(instance.source_count(), {});
+  std::vector<Scheduler::ReadyPair> none;
+  scheduler.start_phase(3, bundles, none);
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(scheduler.completed_through(), 1U);
+  EXPECT_EQ(scheduler.x(3), scheduler.x(2));
+
+  while (!ready.empty()) {
+    std::vector<Scheduler::ReadyPair> next;
+    for (Scheduler::ReadyPair& pair : ready) {
+      ExecutionResult result =
+          execute_vertex(instance, pair.vertex, pair.phase, pair.bundle);
+      scheduler.finish_execution(pair.vertex, pair.phase, result.deliveries,
+                                 std::move(pair.bundle), next);
+    }
+    ready = std::move(next);
+  }
+  EXPECT_EQ(scheduler.completed_through(), 3U);
+  EXPECT_TRUE(scheduler.all_started_phases_complete());
+}
+
+TEST(InputDriven, EngineRetiresEventlessPhases) {
+  const Program program = sensor_program(16, 4);
+  for (const std::size_t threads : {1, 2}) {
+    Engine engine(program, {.threads = threads, .max_inflight_phases = 2});
+    engine.start();
+    for (int p = 0; p < 10; ++p) {
+      engine.start_phase(std::vector<event::ExternalEvent>{});
+    }
+    engine.finish();
+    EXPECT_EQ(engine.completed_phases(), 10U) << "threads " << threads;
+    EXPECT_EQ(engine.stats().executed_pairs, 0U) << "threads " << threads;
+  }
+}
+
+TEST(InputDriven, WrapperWithoutTheDeclarationIsNeverSkipped) {
+  constexpr event::PhaseId kWrappedPhases = 60;
+  const Program program = sensor_program(16, 4);
+  const Program wrapped = with_opaque_sources(program);
+  const ProgramInstance instance(wrapped);
+  for (std::uint32_t s = 1; s <= instance.source_count(); ++s) {
+    EXPECT_FALSE(instance.input_driven(s)) << "source " << s;
+  }
+  const Batches batches = quarter_firing(program, 16, kWrappedPhases, 9);
+  baseline::SequentialExecutor plain(program);
+  VectorFeed plain_feed(batches);
+  plain.run(kWrappedPhases, &plain_feed);
+  baseline::SequentialExecutor opaque(wrapped);
+  VectorFeed opaque_feed(batches);
+  opaque.run(kWrappedPhases, &opaque_feed);
+  // Every silent sensor runs (12 per phase), and the sinks do not move.
+  EXPECT_EQ(opaque.stats().executed_pairs,
+            plain.stats().executed_pairs + 12U * kWrappedPhases);
+  EXPECT_EQ(opaque.sinks().canonical(), plain.sinks().canonical());
+
+  Engine engine(wrapped, {.threads = 2});
+  VectorFeed engine_feed(batches);
+  engine.run(kWrappedPhases, &engine_feed);
+  EXPECT_EQ(engine.stats().executed_pairs, opaque.stats().executed_pairs);
+  EXPECT_EQ(engine.sinks().canonical(), plain.sinks().canonical());
+}
+
+/// The checks every executor must pass against the sequential reference on
+/// the quarter-firing sensor program.
+void expect_same_work(const Executor& candidate,
+                      const baseline::SequentialExecutor& reference,
+                      const std::string& where) {
+  EXPECT_EQ(candidate.sinks().canonical(), reference.sinks().canonical())
+      << where;
+  EXPECT_EQ(candidate.stats().executed_pairs,
+            reference.stats().executed_pairs)
+      << where;
+  EXPECT_EQ(candidate.stats().messages_delivered,
+            reference.stats().messages_delivered)
+      << where;
+}
+
+TEST(InputDriven, EveryExecutorSkipsTheSamePairs) {
+  const Program program = sensor_program(16, 4);
+  const Batches batches = quarter_firing(program, 16, kPhases, 3);
+  baseline::SequentialExecutor reference(program);
+  VectorFeed reference_feed(batches);
+  reference.run(kPhases, &reference_feed);
+  ASSERT_GT(reference.sinks().size(), 0U);
+  // 4 firing sensors per phase, each running its ewma, plus downstream
+  // work: far fewer than the 16 sources a phase signal would run.
+  ASSERT_LT(reference.stats().executed_pairs, 16U * kPhases);
+
+  baseline::LockstepExecutor lockstep(program, 2);
+  VectorFeed lockstep_feed(batches);
+  lockstep.run(kPhases, &lockstep_feed);
+  expect_same_work(lockstep, reference, "lockstep");
+
+  for (const std::size_t threads : {1, 2, 4}) {
+    Engine engine(program, {.threads = threads, .max_inflight_phases = 8});
+    VectorFeed feed(batches);
+    engine.run(kPhases, &feed);
+    expect_same_work(engine, reference,
+                     "engine threads " + std::to_string(threads));
+  }
+  for (std::size_t machines = 1; machines <= 4; ++machines) {
+    for (const distrib::ChannelKind kind : kBothKinds) {
+      const std::string where =
+          "machines " + std::to_string(machines) +
+          (kind == distrib::ChannelKind::kSocket ? " socket" : " in-process");
+      distrib::TransportOptions options;
+      options.machines = machines;
+      options.channel = kind;
+      options.engine_threads = 1 + machines % 2;
+      distrib::TransportEngine transport(program, options);
+      VectorFeed feed(batches);
+      transport.run(kPhases, &feed);
+      expect_same_work(transport, reference, where);
+      EXPECT_EQ(transport.transport_stats().duplicates_dropped,
+                transport.transport_stats().frames_replayed)
+          << where;
+    }
+  }
+}
+
+TEST(InputDriven, TransportRecoversFromACrashExactly) {
+  const Program program = sensor_program(16, 4);
+  const Batches batches = quarter_firing(program, 16, kPhases, 4);
+  baseline::SequentialExecutor reference(program);
+  VectorFeed reference_feed(batches);
+  reference.run(kPhases, &reference_feed);
+  for (std::size_t machines = 1; machines <= 4; ++machines) {
+    for (const distrib::ChannelKind kind : kBothKinds) {
+      const std::string where =
+          "machines " + std::to_string(machines) +
+          (kind == distrib::ChannelKind::kSocket ? " socket" : " in-process");
+      distrib::TransportOptions options;
+      options.machines = machines;
+      options.channel = kind;
+      options.checkpoint_every = 4;
+      std::atomic<bool> fired{false};
+      options.crash_hook = [&fired](std::size_t block, event::PhaseId phase,
+                                    distrib::CrashPoint point) {
+        bool expected = false;
+        if (block == 0 && phase == 8 &&
+            point == distrib::CrashPoint::kMidCheckpoint &&
+            fired.compare_exchange_strong(expected, true)) {
+          throw distrib::CrashSignal{};
+        }
+      };
+      distrib::TransportEngine transport(program, options);
+      VectorFeed feed(batches);
+      transport.run(kPhases, &feed);
+      const auto& stats = transport.transport_stats();
+      EXPECT_TRUE(fired.load()) << where;
+      EXPECT_EQ(stats.restarts, 1U) << where;
+      EXPECT_EQ(transport.sinks().canonical(), reference.sinks().canonical())
+          << where;
+      EXPECT_EQ(stats.duplicates_dropped, stats.frames_replayed) << where;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace df::core

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "baseline/sequential.hpp"
+#include "model/registry.hpp"
 #include "model/sources.hpp"
+#include "module_test_util.hpp"
 #include "spec/builder.hpp"
 
 namespace df::model {
@@ -163,6 +165,53 @@ TEST(Sources, DifferentSeedDifferentOutput) {
   const auto b =
       run_source(factory_of<GaussianSource>(0.0, 1.0, 0.5), 200, 10);
   EXPECT_NE(a, b);
+}
+
+TEST(ExternalPassthroughSource, DeclaresNoPhaseSignal) {
+  EXPECT_FALSE(ExternalPassthroughSource().needs_phase_signal());
+  EXPECT_TRUE(CounterSource().needs_phase_signal());
+}
+
+/// Bytes of the module's persist_state, or of the rng's position.
+std::vector<std::uint8_t> state_bytes(Module& module) {
+  auto ar = support::StateArchive::saver();
+  module.persist_state(ar);
+  return std::move(ar).take();
+}
+std::vector<std::uint8_t> state_bytes(support::Rng& rng) {
+  auto ar = support::StateArchive::saver();
+  rng.persist(ar);
+  return std::move(ar).take();
+}
+
+TEST(Registry, EveryInputDrivenTypeIsANoOpWithoutInput) {
+  // A module that needs no phase signal is skipped in phases without an
+  // event, which is only sound if such a phase would have done nothing:
+  // no emission, no state change, no rng draw. Types with required
+  // parameters get these; every other type builds from its defaults.
+  const Params params({{"threshold", "1"}, {"low", "0"}, {"high", "1"},
+                       {"lo", "0"}, {"hi", "1"}});
+  const Registry& registry = Registry::builtin();
+  std::size_t declared = 0;
+  for (const std::string& name : registry.type_names()) {
+    std::unique_ptr<Module> module = registry.build(name, params, 2)();
+    if (module->needs_phase_signal()) {
+      continue;
+    }
+    ++declared;
+    const std::vector<testutil::Script> silent(2);
+    testutil::ScriptedContext ctx(silent);
+    for (event::PhaseId p = 1; p <= 20; ++p) {
+      const std::vector<std::uint8_t> state = state_bytes(*module);
+      const std::vector<std::uint8_t> rng = state_bytes(ctx.rng());
+      ctx.begin(p);
+      module->on_phase(ctx);
+      EXPECT_TRUE(ctx.emitted().empty()) << name << " phase " << p;
+      EXPECT_EQ(state_bytes(*module), state) << name << " phase " << p;
+      EXPECT_EQ(state_bytes(ctx.rng()), rng) << name << " phase " << p;
+    }
+  }
+  EXPECT_GE(declared, 1U) << "no registered type declares it (\"external\")";
 }
 
 }  // namespace

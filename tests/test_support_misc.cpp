@@ -1,6 +1,9 @@
 // Unit tests for strings, CLI flags, tables, check macros and the stopwatch.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "support/check.hpp"
 #include "support/cli.hpp"
 #include "support/stopwatch.hpp"
@@ -143,12 +146,24 @@ TEST(Check, PassesSilently) {
 
 TEST(Stopwatch, MeasuresElapsedTime) {
   Stopwatch sw;
-  const std::uint64_t spun = spin_for_ns(2'000'000);  // 2 ms
-  EXPECT_NE(spun, 0U);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
   EXPECT_GE(sw.elapsed_ns(), 2'000'000U);
   EXPECT_GT(sw.elapsed_ms(), 1.9);
   sw.restart();
   EXPECT_LT(sw.elapsed_ms(), 2.0);
+}
+
+TEST(SpinWork, IsAFixedIterationCount) {
+  EXPECT_GT(spin_iterations_per_ns(), 0.0);
+  // Calibrated once: the rate does not move between calls.
+  EXPECT_EQ(spin_iterations_per_ns(), spin_iterations_per_ns());
+  EXPECT_EQ(spin_iterations(1000), spin_iterations(1000));
+  EXPECT_NE(spin_iterations(1000), spin_iterations(1001));
+  // The work is counted in steps, so it costs thread CPU time, not wall
+  // time: 2 ms of it takes at least about 1 ms of this thread's CPU.
+  const std::uint64_t start = thread_cpu_ns();
+  EXPECT_NE(spin_work_ns(2'000'000), 0U);
+  EXPECT_GT(thread_cpu_ns() - start, 1'000'000U);
 }
 
 }  // namespace
